@@ -12,19 +12,16 @@
 //	hbload -url http://127.0.0.1:8080 -profile steady -seed 1
 //	hbload -profile bursty -seed 1 -n 96 -duration 2s \
 //	       -slo -goodput-floor 0.10 -grace 500ms
-//	hbload -profile steady -seed 1 -compare BENCH_8.json
 //	hbload -profile bursty -seed 1 -dry-run -stream a.ndjson
 //
 // Exit status: 0 — run completed and every requested check passed;
-// 1 — an SLO violation or baseline regression; 2 — the harness
-// itself failed (bad flags, unreachable endpoint).
+// 1 — an SLO or skeleton-rate violation; 2 — the harness itself
+// failed (bad flags, unreachable endpoint).
 //
 // -slo arms the goodput SLO check (floor, grace, p50 bound, shed
-// Retry-After jitter); -compare checks the run against a committed
-// BENCH_8-style baseline; -baseline-out writes a fresh baseline from
-// this run. -dry-run builds and writes the schedule without sending
-// any traffic — the CI replayability gate runs it twice and byte-
-// compares the -stream files.
+// Retry-After jitter). -dry-run builds and writes the schedule without
+// sending any traffic — the CI replayability gate runs it twice and
+// byte-compares the -stream files.
 package main
 
 import (
@@ -59,8 +56,6 @@ func main() {
 		maxP50     = flag.Duration("max-p50", 0, "bound on goodput median latency (0: unbounded; with -slo)")
 		minShed    = flag.Int("min-shed-jitter", 8, "assert jittered Retry-After once this many sheds occurred (0: off; with -slo)")
 		minSkel    = flag.Float64("min-skeleton-rate", -1, "minimum skeleton-instantiation share of compiles (skeleton_hits/compiles; < 0: off; exit 1 below)")
-		compare    = flag.String("compare", "", "check the run against this committed baseline JSON (exit 1 on regression)")
-		baseOut    = flag.String("baseline-out", "", "write this run's baseline JSON here")
 		verbose    = flag.Bool("v", false, "progress to stderr")
 	)
 	flag.Parse()
@@ -150,27 +145,6 @@ func main() {
 				rep.SkeletonHitRate, rep.SkeletonHits, rep.Compiles, *minSkel)
 			failed = true
 		}
-	}
-	if *compare != "" {
-		raw, err := os.ReadFile(*compare)
-		if err != nil {
-			fatalf("compare: %v", err)
-		}
-		var base load.Baseline
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fatalf("compare: %s: %v", *compare, err)
-		}
-		v := load.CompareBaseline(base, rep)
-		for _, s := range v {
-			fmt.Fprintf(os.Stderr, "hbload: BASELINE REGRESSION: %s\n", s)
-		}
-		failed = failed || len(v) > 0
-	}
-	if *baseOut != "" {
-		if err := writeJSON(*baseOut, rep.Baseline()); err != nil {
-			fatalf("baseline-out: %v", err)
-		}
-		logf("wrote baseline to %s", *baseOut)
 	}
 
 	if *reportOut == "-" {

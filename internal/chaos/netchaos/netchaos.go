@@ -27,6 +27,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/seeded"
 )
 
 // rateScale is the denominator of every per-site fault probability.
@@ -106,31 +108,13 @@ const (
 	saltDiskRead  uint64 = 0x5ead70918c2f64b4
 )
 
-// splitmix64 is the finalizer of the splitmix64 PRNG (the same mixer
-// chaos.Plan and the breaker jitter use).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hashString is FNV-1a, matching the repo's other site hashing.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
 // roll derives the decision word for one injection point at one site.
 // seq is the per-site call ordinal, so the Nth request to a site rolls
 // the same value on every run at this seed.
 func (p Plan) roll(salt uint64, site string, seq uint64) uint64 {
-	h := splitmix64(uint64(p.Seed) ^ salt)
-	h = splitmix64(h ^ hashString(site))
-	return splitmix64(h ^ seq)
+	h := seeded.Mix(uint64(p.Seed) ^ salt)
+	h = seeded.Mix(h ^ seeded.Hash(site))
+	return seeded.Mix(h ^ seq)
 }
 
 // hit reports whether a decision word fires at the given per-1024 rate.
@@ -178,7 +162,7 @@ func Plans(seed int64, n int) []Plan {
 	out := make([]Plan, 0, n)
 	for i := 0; i < n; i++ {
 		s := seed + int64(i)
-		h := splitmix64(uint64(seed)*0x6c62272e07bb0142 + uint64(i))
+		h := seeded.Mix(uint64(seed)*0x6c62272e07bb0142 + uint64(i))
 		rate := 16 << (h % 5)       // 16..256 per 1024
 		lat := int64(5 + (h>>8)%60) // 5..64 ms
 		switch i % 5 {

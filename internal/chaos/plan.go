@@ -14,6 +14,7 @@ package chaos
 import (
 	"fmt"
 
+	"repro/internal/seeded"
 	"repro/internal/sim/timing"
 )
 
@@ -69,31 +70,12 @@ const (
 	saltHop        uint64 = 0x589965cc75374cc3
 )
 
-// splitmix64 is the finalizer of the splitmix64 PRNG: a cheap,
-// high-quality 64-bit mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hashString is FNV-1a, matching the predictor's string hashing.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
 // roll derives the site's decision word for one injection point.
 func (p Plan) roll(salt uint64, s timing.Site, instr int) uint64 {
-	h := splitmix64(uint64(p.Seed) ^ salt)
-	h = splitmix64(h ^ hashString(s.Fn))
-	h = splitmix64(h ^ hashString(s.Block))
-	h = splitmix64(h ^ uint64(s.Seq)<<20 ^ uint64(uint32(instr)))
-	return h
+	h := seeded.Mix(uint64(p.Seed) ^ salt)
+	h = seeded.Mix(h ^ seeded.Hash(s.Fn))
+	h = seeded.Mix(h ^ seeded.Hash(s.Block))
+	return seeded.Mix(h ^ uint64(s.Seq)<<20 ^ uint64(uint32(instr)))
 }
 
 // latency turns a decision word into an injected latency: zero with
@@ -152,7 +134,7 @@ func Plans(seed int64, n int) []Plan {
 	out := make([]Plan, 0, n)
 	for i := 0; i < n; i++ {
 		s := seed + int64(i)
-		h := splitmix64(uint64(seed)*0x6c62272e07bb0142 + uint64(i))
+		h := seeded.Mix(uint64(seed)*0x6c62272e07bb0142 + uint64(i))
 		rate := 8 << (h % 6)        // 8..256 per 1024
 		mag := int64(1 + (h>>8)%48) // 1..48 cycles
 		switch i % 5 {

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/seeded"
 )
 
 // Config configures a membership Node.
@@ -48,7 +50,7 @@ type Config struct {
 	// Client performs all gossip HTTP. Defaults to a dedicated
 	// client; tests inject fault-wrapped transports here.
 	Client *http.Client
-	// Seed drives the probe-order shuffle (splitmix64).
+	// Seed drives the probe-order shuffle.
 	Seed int64
 	// Logf, if set, receives one line per membership transition.
 	Logf func(format string, args ...any)
@@ -113,7 +115,7 @@ type Node struct {
 	stopped  bool
 
 	cur atomic.Pointer[View]
-	rng uint64
+	rng seeded.Stream // probe-order shuffle
 
 	stop chan struct{}
 	done chan struct{}
@@ -142,7 +144,7 @@ func New(cfg Config) (*Node, error) {
 		selfSt:  StateAlive,
 		bornAt:  time.Now(),
 		subs:    map[int]chan View{},
-		rng:     uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+		rng:     seeded.Stream(uint64(cfg.Seed)*seeded.Gamma + 0x2545f4914f6cdd1d),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -483,7 +485,7 @@ func (n *Node) pickTargetLocked() string {
 		// Deterministic order before the seeded shuffle.
 		sortStrings(n.order)
 		for i := len(n.order) - 1; i > 0; i-- {
-			j := int(n.nextRand() % uint64(i+1))
+			j := int(n.rng.Next() % uint64(i+1))
 			n.order[i], n.order[j] = n.order[j], n.order[i]
 		}
 		n.orderIdx = 0
@@ -517,14 +519,6 @@ func sameSet(a, b []string) bool {
 	return true
 }
 
-func (n *Node) nextRand() uint64 {
-	n.rng += 0x9e3779b97f4a7c15
-	z := n.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // probe runs one SWIM round against target: direct ping, then — on
 // failure — IndirectProbes parallel ping-reqs through other members.
 // Only when the target is unreachable both directly and by proxy does
@@ -546,7 +540,7 @@ func (n *Node) probe(target string) {
 	}
 	sortStrings(relays)
 	for i := len(relays) - 1; i > 0; i-- {
-		j := int(n.nextRand() % uint64(i+1))
+		j := int(n.rng.Next() % uint64(i+1))
 		relays[i], relays[j] = relays[j], relays[i]
 	}
 	if len(relays) > n.cfg.IndirectProbes {

@@ -15,7 +15,7 @@ type panicPolicy struct {
 	Victim string
 }
 
-func (p *panicPolicy) Name() string        { return "panic-on-" + p.Victim }
+func (p *panicPolicy) Name() string          { return "panic-on-" + p.Victim }
 func (p *panicPolicy) Prepare(*core.Context) {}
 func (p *panicPolicy) Select(ctx *core.Context, cands []*ir.Block) int {
 	if ctx.F.Name == p.Victim {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/metrics"
 	"repro/internal/sim/timing"
 )
 
@@ -105,9 +106,9 @@ type Engine struct {
 	// Skeleton tier: formation decision traces keyed on the
 	// parameter-independent part of the job (see SkeletonKey), shared
 	// through the cache's backing store, plus the instantiation-
-	// latency ring fed by skeleton-replayed compiles.
+	// latency window (ns) fed by skeleton-replayed compiles.
 	skel    *skeletonCache
-	instLat latRing
+	instLat *metrics.Window
 }
 
 // New builds an engine. The zero Config is valid: GOMAXPROCS workers,
@@ -131,6 +132,7 @@ func New(cfg Config) *Engine {
 		wdTrips: map[string]int{}, quarantined: map[string]bool{},
 		flights: map[string]*flight{},
 		skel:    newSkeletonCache(c.Store()),
+		instLat: metrics.NewWindow(instLatWindow),
 	}
 }
 

@@ -138,7 +138,7 @@ func (e *Engine) runFlight(fctx context.Context, f *flight, j Job, key, qkey str
 			o.skelHit = true
 			o.skelFallbacks = o.m.Replay.Fallbacks
 			e.skel.fallbacks.Add(int64(o.m.Replay.Fallbacks))
-			e.instLat.add(o.m.CompileNS)
+			e.instLat.Record(o.m.CompileNS)
 		} else if skey != "" && o.m.FormTrace != nil {
 			e.skel.put(skey, o.m.FormTrace)
 		}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -27,8 +26,9 @@ import (
 // eviction; the backing store keeps evicted entries).
 const skeletonMemLimit = 256
 
-// instLatRingSize is the instantiation-latency ring capacity.
-const instLatRingSize = 256
+// instLatWindow is how many recent instantiation latencies the engine
+// keeps for its quantiles.
+const instLatWindow = 256
 
 // skeletonCache holds decoded formation traces in memory with
 // write-through JSON persistence to the shared artifact store.
@@ -101,48 +101,6 @@ func (c *skeletonCache) put(key string, tr *core.ProgramTrace) {
 	_ = c.backing.Put(context.Background(), key, payload)
 }
 
-// latRing is a fixed-size ring of recent latency samples (ns) with
-// quantile snapshots; cheap enough for the per-compile hot path.
-type latRing struct {
-	mu   sync.Mutex
-	buf  [instLatRingSize]int64
-	n    int // filled entries
-	next int // write cursor
-	seen int64
-}
-
-func (r *latRing) add(ns int64) {
-	r.mu.Lock()
-	r.buf[r.next] = ns
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.seen++
-	r.mu.Unlock()
-}
-
-// quantiles returns the given quantiles (0..1) over the retained
-// samples, in milliseconds, plus the lifetime sample count.
-func (r *latRing) quantiles(qs ...float64) ([]float64, int64) {
-	r.mu.Lock()
-	n := r.n
-	samples := make([]int64, n)
-	copy(samples, r.buf[:n])
-	seen := r.seen
-	r.mu.Unlock()
-	out := make([]float64, len(qs))
-	if n == 0 {
-		return out, seen
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	for i, q := range qs {
-		idx := int(q * float64(n-1))
-		out[i] = float64(samples[idx]) / 1e6
-	}
-	return out, seen
-}
-
 // SkeletonStats is the two-level cache's observability snapshot:
 // lookup counters plus instantiation-latency quantiles over the most
 // recent skeleton-replayed compiles.
@@ -179,9 +137,12 @@ func (e *Engine) SkeletonStats() SkeletonStats {
 	s.StoreHits = e.skel.storeHits.Load()
 	s.Puts = e.skel.puts.Load()
 	s.Fallbacks = e.skel.fallbacks.Load()
-	q, seen := e.instLat.quantiles(0.50, 0.90, 0.99)
-	s.InstP50MS, s.InstP90MS, s.InstP99MS = q[0], q[1], q[2]
-	s.InstSamples = seen
+	ms := func(q float64) float64 {
+		ns, _ := e.instLat.Quantile(q)
+		return float64(ns) / 1e6
+	}
+	s.InstP50MS, s.InstP90MS, s.InstP99MS = ms(0.50), ms(0.90), ms(0.99)
+	s.InstSamples = e.instLat.Count()
 	return s
 }
 

@@ -24,9 +24,11 @@ func TestSkeletonKeyFactoring(t *testing.T) {
 	}
 
 	shared := map[string]func(j *engine.Job){
-		"args":     func(j *engine.Job) { j.Args = []int64{7} },
-		"entry":    func(j *engine.Job) { j.Entry = "main" },
-		"cons":     func(j *engine.Job) { j.Opts.Cons = trips.Constraints{MaxInstrs: 64, MaxMemOps: 16, RegBanks: 4, MaxReadsPerBank: 8, MaxWritesPerBank: 8, FanoutFactor: 4} },
+		"args":  func(j *engine.Job) { j.Args = []int64{7} },
+		"entry": func(j *engine.Job) { j.Entry = "main" },
+		"cons": func(j *engine.Job) {
+			j.Opts.Cons = trips.Constraints{MaxInstrs: 64, MaxMemOps: 16, RegBanks: 4, MaxReadsPerBank: 8, MaxWritesPerBank: 8, FanoutFactor: 4}
+		},
 		"regalloc": func(j *engine.Job) { j.Opts.RegAlloc = true },
 		"sim":      func(j *engine.Job) { j.Sim = engine.SimFunctional },
 	}

@@ -286,7 +286,7 @@ func (f *Front) ApplyView(v cluster.View) {
 	for _, u := range append(append([]string{}, serving...), v.Dead()...) {
 		s, ok := f.pool[u]
 		if !ok {
-			s = &shard{url: u, breaker: server.NewBreaker(f.cfg.Breaker, saltOf(u))}
+			s = newShard(u, f.cfg.Breaker)
 			f.pool[u] = s
 		}
 		set.urls = append(set.urls, u)
@@ -655,7 +655,7 @@ func (f *Front) tryShard(ctx context.Context, s *shard, body []byte, hedged bool
 		s.breaker.Record(time.Now(), true)
 		return upstream{shard: s.url, hedged: hedged, err: rerr}
 	}
-	s.lat.record(time.Since(start))
+	s.lat.Record(time.Since(start).Nanoseconds())
 
 	class := server.ErrClass(resp.Header.Get("X-Hbserved-Class"))
 	if !class.Valid() {

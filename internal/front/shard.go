@@ -1,68 +1,34 @@
 package front
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
+	"repro/internal/seeded"
 	"repro/internal/server"
 )
 
-// latRing keeps the last latWindow observed latencies per shard; the
-// hedge budget is a quantile over it, so "slow" is defined by what
-// this shard has actually been doing lately, not a static guess.
+// latWindow is how many recent latencies each shard keeps; the hedge
+// budget is a quantile over them, so "slow" is defined by what this
+// shard has actually been doing lately, not a static guess.
 const latWindow = 64
 
-type latRing struct {
-	mu sync.Mutex
-	ns [latWindow]int64
-	n  int // samples recorded (capped at latWindow)
-	i  int // next write position
-}
-
-// record adds one latency sample.
-func (l *latRing) record(d time.Duration) {
-	l.mu.Lock()
-	l.ns[l.i] = d.Nanoseconds()
-	l.i = (l.i + 1) % latWindow
-	if l.n < latWindow {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// quantile returns the q-quantile (0..1) of the recorded samples and
-// how many samples back it; with no samples it returns (0, 0).
-func (l *latRing) quantile(q float64) (time.Duration, int) {
-	l.mu.Lock()
-	n := l.n
-	buf := make([]int64, n)
-	copy(buf, l.ns[:n])
-	l.mu.Unlock()
-	if n == 0 {
-		return 0, 0
-	}
-	sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-	idx := int(q * float64(n-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return time.Duration(buf[idx]), n
-}
-
 // shard is one backend hbserved node as the front tier sees it: its
-// URL, its circuit breaker, and its recent latency history.
+// URL, its circuit breaker, and its recent latency history (ns).
 type shard struct {
 	url     string
 	breaker *server.Breaker
-	lat     latRing
+	lat     *metrics.Window
 
 	requests atomic.Int64 // tries issued to this shard
 	errors   atomic.Int64 // transport-level failures
+}
+
+// newShard builds a shard whose breaker jitter stream is salted by a
+// hash of its URL, so sibling shards back off out of step.
+func newShard(u string, bcfg server.BreakerConfig) *shard {
+	return &shard{url: u, breaker: server.NewBreaker(bcfg, seeded.Hash(u)), lat: metrics.NewWindow(latWindow)}
 }
 
 // hedgeBudget computes how long to wait on this shard before hedging:
@@ -73,7 +39,8 @@ type shard struct {
 const minHedgeSamples = 8
 
 func (s *shard) hedgeBudget(cfg Config) time.Duration {
-	q, n := s.lat.quantile(cfg.HedgeQuantile)
+	ns, n := s.lat.Quantile(cfg.HedgeQuantile)
+	q := time.Duration(ns)
 	if n < minHedgeSamples || q < cfg.HedgeAfter {
 		return cfg.HedgeAfter
 	}
@@ -111,7 +78,7 @@ func newShardSet(gen int, urls []string, bcfg server.BreakerConfig) *shardSet {
 		}
 		seen[u] = true
 		set.urls = append(set.urls, u)
-		set.shards[u] = &shard{url: u, breaker: server.NewBreaker(bcfg, saltOf(u))}
+		set.shards[u] = newShard(u, bcfg)
 	}
 	return set
 }
@@ -153,15 +120,4 @@ func (set *shardSet) deprioritizeSuspects(order []string) ([]string, bool) {
 		return order, false
 	}
 	return append(healthy, suspects...), moved
-}
-
-// saltOf seeds a shard breaker's jitter stream from its URL (FNV-1a,
-// same convention as the server's per-class breakers).
-func saltOf(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

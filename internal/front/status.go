@@ -90,20 +90,20 @@ func (f *Front) StatusSnapshot() Status {
 	f.mu.RUnlock()
 
 	st := Status{
-		Build:             buildinfo.Collect("hbfront"),
-		UptimeSeconds:     time.Since(f.start).Seconds(),
-		Draining:          draining,
-		Gen:               set.gen,
-		Swaps:             f.swaps.Load(),
-		Requests:          f.requests.Load(),
-		Inflight:          f.inflightN.Load(),
-		Coalesced:         f.coalesced.Load(),
-		CacheHits:         f.cacheHits.Load(),
-		SkeletonHits:      f.skelHits.Load(),
-		SkeletonFallbacks: f.skelFallbacks.Load(),
-		Hedges:            f.hedges.Load(),
-		HedgeWins:         f.hedgeWins.Load(),
-		Failovers:         f.failovers.Load(),
+		Build:                buildinfo.Collect("hbfront"),
+		UptimeSeconds:        time.Since(f.start).Seconds(),
+		Draining:             draining,
+		Gen:                  set.gen,
+		Swaps:                f.swaps.Load(),
+		Requests:             f.requests.Load(),
+		Inflight:             f.inflightN.Load(),
+		Coalesced:            f.coalesced.Load(),
+		CacheHits:            f.cacheHits.Load(),
+		SkeletonHits:         f.skelHits.Load(),
+		SkeletonFallbacks:    f.skelFallbacks.Load(),
+		Hedges:               f.hedges.Load(),
+		HedgeWins:            f.hedgeWins.Load(),
+		Failovers:            f.failovers.Load(),
 		ShedFailovers:        f.shedNexts.Load(),
 		AllShardsShedding:    f.allShed.Load(),
 		HedgesSkippedDead:    f.deadSkips.Load(),
@@ -126,14 +126,14 @@ func (f *Front) StatusSnapshot() Status {
 	now := time.Now()
 	for _, u := range set.urls {
 		s := set.shards[u]
-		p50, _ := s.lat.quantile(0.50)
-		p95, _ := s.lat.quantile(0.95)
+		p50, _ := s.lat.Quantile(0.50)
+		p95, _ := s.lat.Quantile(0.95)
 		st.Shards = append(st.Shards, ShardStatus{
 			URL:           s.url,
 			Requests:      s.requests.Load(),
 			Errors:        s.errors.Load(),
-			P50MS:         float64(p50.Nanoseconds()) / 1e6,
-			P95MS:         float64(p95.Nanoseconds()) / 1e6,
+			P50MS:         float64(p50) / 1e6,
+			P95MS:         float64(p95) / 1e6,
 			HedgeBudgetMS: float64(s.hedgeBudget(f.cfg).Nanoseconds()) / 1e6,
 			Breaker:       s.breaker.Status(now),
 			State:         set.state(u),

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/seeded"
 	"repro/internal/workloads/corpus"
 )
 
@@ -26,7 +27,7 @@ type Profile string
 
 const (
 	// Steady is a constant-rate open-loop stream with light jitter —
-	// the calibration profile (BENCH_8 baselines use it).
+	// the calibration profile.
 	Steady Profile = "steady"
 	// Bursty is an on/off square wave: the full request budget is
 	// compressed into on-windows at several times the mean rate, with
@@ -112,23 +113,11 @@ func (c ScheduleConfig) withDefaults() ScheduleConfig {
 	return c
 }
 
-// rng is the package's splitmix64 stream (same generator the breaker
-// jitter and chaos plans use), so schedules are reproducible without
-// depending on math/rand stream stability.
-type rng uint64
+// rng is the package's seeded stream, so schedules are reproducible
+// without depending on math/rand stream stability.
+type rng struct{ seeded.Stream }
 
-func (r *rng) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	x := uint64(*r)
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()%(1<<53)) / (1 << 53) }
+func (r *rng) intn(n int) int { return int(r.Next() % uint64(n)) }
 
 // Schedule builds the deterministic arrival sequence for one
 // (profile, seed) pair over the given corpus.
@@ -140,7 +129,8 @@ func Schedule(cfg ScheduleConfig) ([]Arrival, error) {
 	if cfg.Corpus == nil || len(cfg.Corpus.Programs) == 0 {
 		return nil, fmt.Errorf("load: ScheduleConfig.Corpus is required")
 	}
-	r := rng(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + profileSalt(cfg.Profile))
+	// The profile name's hash separates sibling profiles at one seed.
+	r := rng{seeded.Stream(uint64(cfg.Seed)*seeded.Gamma + seeded.Hash(string(cfg.Profile)))}
 	times := arrivalTimes(&r, cfg)
 	out := make([]Arrival, cfg.Requests)
 	pick := programPicker(&r, cfg)
@@ -152,17 +142,6 @@ func Schedule(cfg ScheduleConfig) ([]Arrival, error) {
 		out[i] = a
 	}
 	return out, nil
-}
-
-// profileSalt separates the streams of sibling profiles at one seed
-// (FNV-1a over the name, same convention as breaker jitter salts).
-func profileSalt(p Profile) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(p); i++ {
-		h ^= uint64(p[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // arrivalTimes lays the request budget over the duration according to
@@ -181,7 +160,7 @@ func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
 		on := period / 4
 		for i := range out {
 			p := time.Duration(r.intn(periods))
-			out[i] = p*period + time.Duration(r.float()*float64(on))
+			out[i] = p*period + time.Duration(r.Float()*float64(on))
 		}
 	case Diurnal:
 		// Density ∝ 1 + 0.9·sin(2πt/span − π/2): near-zero at the
@@ -190,9 +169,9 @@ func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
 		// output side.
 		for i := range out {
 			for {
-				t := r.float()
+				t := r.Float()
 				d := (1 + 0.9*math.Sin(2*math.Pi*t-math.Pi/2)) / 1.9
-				if r.float() < d {
+				if r.Float() < d {
 					out[i] = time.Duration(t * float64(span))
 					break
 				}
@@ -201,7 +180,7 @@ func arrivalTimes(r *rng, cfg ScheduleConfig) []time.Duration {
 	default: // steady, adversarial, hotkey: even spacing, ±30% jitter
 		step := float64(span) / float64(n)
 		for i := range out {
-			j := (r.float() - 0.5) * 0.6 * step
+			j := (r.Float() - 0.5) * 0.6 * step
 			out[i] = time.Duration(float64(i)*step + j)
 			if out[i] < 0 {
 				out[i] = 0

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Outcome is one request's recorded result.
@@ -43,10 +45,7 @@ func quantiles(ms []float64) Quantiles {
 	}
 	sorted := append([]float64(nil), ms...)
 	sort.Float64s(sorted)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
-	}
+	at := func(q float64) float64 { return metrics.Quantile(sorted, q) }
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v
@@ -117,10 +116,10 @@ type Report struct {
 
 	// Classes counts terminal taxonomy classes; Latency covers
 	// admitted responses; GoodLatency covers goodput responses only.
-	Classes     map[string]int `json:"classes"`
-	Latency     Quantiles      `json:"latency"`
-	GoodLatency Quantiles      `json:"good_latency"`
-	ShedRetry   RetrySummary   `json:"shed_retry_after"`
+	Classes     map[string]int          `json:"classes"`
+	Latency     Quantiles               `json:"latency"`
+	GoodLatency Quantiles               `json:"good_latency"`
+	ShedRetry   RetrySummary            `json:"shed_retry_after"`
 	PerClass    map[string]*ClassReport `json:"per_class"`
 
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -286,63 +285,5 @@ func (r *Report) CheckSLO(slo SLO) []string {
 		}
 	}
 	r.SLOViolations = v
-	return v
-}
-
-// Baseline is the committed goodput/latency reference (BENCH_8.json):
-// future PRs gate overload regressions against it the way BENCH_4
-// gates hot-path ns/op.
-type Baseline struct {
-	Schema   string  `json:"schema"`
-	Profile  string  `json:"profile"`
-	Seed     int64   `json:"seed"`
-	Requests int     `json:"requests"`
-	Goodput  float64 `json:"goodput_ratio"`
-	P50MS    float64 `json:"p50_ms"`
-	P99MS    float64 `json:"p99_ms"`
-}
-
-// BaselineSchema identifies the BENCH_8 format.
-const BaselineSchema = "hbload/1"
-
-// Baseline extracts the committed reference values from a report.
-func (r *Report) Baseline() Baseline {
-	return Baseline{
-		Schema:   BaselineSchema,
-		Profile:  r.Profile,
-		Seed:     r.Seed,
-		Requests: r.Offered,
-		Goodput:  r.GoodputRatio,
-		P50MS:    r.GoodLatency.P50,
-		P99MS:    r.GoodLatency.P99,
-	}
-}
-
-// CompareBaseline checks a fresh report against the committed
-// baseline. Goodput gets an absolute tolerance (it is a ratio of
-// counts — robust across machines); latency gets a generous
-// multiplicative one plus a floor, because shared CI runners are
-// noisy in the milliseconds.
-func CompareBaseline(base Baseline, r *Report) []string {
-	var v []string
-	if base.Schema != BaselineSchema {
-		return []string{fmt.Sprintf("baseline schema %q, want %q", base.Schema, BaselineSchema)}
-	}
-	if base.Profile != r.Profile || base.Seed != r.Seed {
-		v = append(v, fmt.Sprintf("baseline is (%s, seed %d), run is (%s, seed %d)",
-			base.Profile, base.Seed, r.Profile, r.Seed))
-	}
-	if r.GoodputRatio < base.Goodput-0.10 {
-		v = append(v, fmt.Sprintf("goodput %.3f regressed more than 0.10 below baseline %.3f",
-			r.GoodputRatio, base.Goodput))
-	}
-	if bound := base.P50MS*5 + 100; r.GoodLatency.N > 0 && r.GoodLatency.P50 > bound {
-		v = append(v, fmt.Sprintf("goodput p50 %.1fms above 5x-baseline bound %.1fms (baseline %.1fms)",
-			r.GoodLatency.P50, bound, base.P50MS))
-	}
-	if bound := base.P99MS*5 + 250; r.GoodLatency.N > 0 && r.GoodLatency.P99 > bound {
-		v = append(v, fmt.Sprintf("goodput p99 %.1fms above 5x-baseline bound %.1fms (baseline %.1fms)",
-			r.GoodLatency.P99, bound, base.P99MS))
-	}
 	return v
 }

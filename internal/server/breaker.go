@@ -3,6 +3,8 @@ package server
 import (
 	"sync"
 	"time"
+
+	"repro/internal/seeded"
 )
 
 // BreakerConfig tunes the per-workload-class circuit breakers.
@@ -86,7 +88,7 @@ type Breaker struct {
 	probeActive bool      // half-open: a probe is in flight
 	probeOKs    int       // half-open: consecutive probe successes
 
-	rng uint64 // splitmix64 state for backoff jitter
+	rng seeded.Stream // backoff jitter
 
 	// Transition counters (monotonic; surfaced in /statusz and
 	// asserted by the chaos test's open/half-open/close cycle check).
@@ -101,17 +103,8 @@ func NewBreaker(cfg BreakerConfig, seedSalt uint64) *Breaker {
 		cfg:   cfg,
 		state: BreakerClosed,
 		ring:  make([]bool, cfg.Window),
-		rng:   uint64(cfg.JitterSeed)*0x9e3779b97f4a7c15 + seedSalt + 1,
+		rng:   seeded.Stream(uint64(cfg.JitterSeed)*seeded.Gamma + seedSalt + 1),
 	}
-}
-
-// splitmix64 steps the jitter PRNG.
-func (b *Breaker) next() uint64 {
-	b.rng += 0x9e3779b97f4a7c15
-	x := b.rng
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // backoff returns the jittered open duration for the current
@@ -125,7 +118,7 @@ func (b *Breaker) backoff() time.Duration {
 		d = b.cfg.MaxBackoff
 	}
 	// Jitter in [0.5x, 1.5x).
-	j := 0.5 + float64(b.next()%1024)/1024.0
+	j := 0.5 + float64(b.rng.Next()%1024)/1024.0
 	return time.Duration(float64(d) * j)
 }
 
@@ -143,7 +136,9 @@ func (b *Breaker) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 		return true, 0
 	case BreakerOpen:
 		if now.Before(b.reopenAt) {
-			return false, b.reopenAt.Sub(now)
+			// At least 1ms: shed responses carry whole milliseconds, and
+			// a shed must never advise retrying after 0.
+			return false, max(b.reopenAt.Sub(now), time.Millisecond)
 		}
 		b.state = BreakerHalfOpen
 		b.halfOpens++
@@ -284,13 +279,8 @@ func (s *BreakerSet) Get(class string) *Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[class]
 	if !ok {
-		// FNV-1a over the class name salts the jitter stream.
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(class); i++ {
-			h ^= uint64(class[i])
-			h *= 1099511628211
-		}
-		b = NewBreaker(s.cfg, h)
+		// The class name's hash salts the jitter stream.
+		b = NewBreaker(s.cfg, seeded.Hash(class))
 		s.m[class] = b
 	}
 	return b

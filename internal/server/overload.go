@@ -4,6 +4,9 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/seeded"
 )
 
 // This file is the adaptive overload controller: a CoDel-style
@@ -26,15 +29,14 @@ const statsMinSamples = 8
 const statsRing = 64
 
 // classStats tracks one workload class's service-time distribution:
-// an EWMA for the central tendency and a small ring for the p90 tail.
-// Only completed service (ok/degraded engine wall time) is recorded —
-// timeouts would poison the estimate with the deadline, not the cost.
+// an EWMA for the central tendency and a sample window for the p90
+// tail. Only completed service (ok/degraded engine wall time) is
+// recorded — timeouts would poison the estimate with the deadline,
+// not the cost.
 type classStats struct {
 	mu     sync.Mutex
 	ewmaNS float64
-	ring   [statsRing]float64
-	n      int // total recorded (ring holds min(n, statsRing))
-	idx    int
+	window *metrics.Window // nil until the first sample
 }
 
 // ewmaAlpha weights new samples; 0.2 tracks load shifts within ~10
@@ -42,43 +44,27 @@ type classStats struct {
 const ewmaAlpha = 0.2
 
 func (cs *classStats) record(d time.Duration) {
-	ns := float64(d.Nanoseconds())
+	ns := d.Nanoseconds()
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.n == 0 {
-		cs.ewmaNS = ns
+	if cs.window == nil {
+		cs.window = metrics.NewWindow(statsRing)
+		cs.ewmaNS = float64(ns)
 	} else {
-		cs.ewmaNS = ewmaAlpha*ns + (1-ewmaAlpha)*cs.ewmaNS
+		cs.ewmaNS = ewmaAlpha*float64(ns) + (1-ewmaAlpha)*cs.ewmaNS
 	}
-	cs.ring[cs.idx] = ns
-	cs.idx = (cs.idx + 1) % statsRing
-	cs.n++
+	cs.window.Record(ns)
 }
 
 // estimate returns the EWMA, the windowed p90, and the sample count.
 func (cs *classStats) estimate() (ewma, p90 time.Duration, n int) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	n = cs.n
-	if n == 0 {
+	if cs.window == nil {
 		return 0, 0, 0
 	}
-	ewma = time.Duration(cs.ewmaNS)
-	w := n
-	if w > statsRing {
-		w = statsRing
-	}
-	var buf [statsRing]float64
-	copy(buf[:w], cs.ring[:w])
-	// Partial insertion sort: w <= 64, and this runs on shed/admit
-	// decisions, not per request.
-	for i := 1; i < w; i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	p90 = time.Duration(buf[min(w-1, (w*9)/10)])
-	return ewma, p90, n
+	q, _ := cs.window.Quantile(0.9)
+	return time.Duration(cs.ewmaNS), time.Duration(q), int(cs.window.Count())
 }
 
 // codel is a CoDel-style controller over queue sojourn time: shed
@@ -161,14 +147,14 @@ type overload struct {
 	global  classStats
 
 	jitterMu sync.Mutex
-	jitter   uint64 // splitmix64 state, seeded by Config.RetryJitterSeed
+	jitter   seeded.Stream // seeded by Config.RetryJitterSeed
 }
 
 func newOverload(target, interval time.Duration, jitterSeed uint64) *overload {
 	return &overload{
 		codel:   codel{target: target, interval: interval},
 		classes: map[string]*classStats{},
-		jitter:  jitterSeed,
+		jitter:  seeded.Stream(jitterSeed),
 	}
 }
 
@@ -191,17 +177,12 @@ func (o *overload) observe(class string, d time.Duration) {
 }
 
 // jitterFactor draws the next deterministic jitter multiplier in
-// [0.75, 1.25) — the same splitmix64 stream the breakers use, so a
-// seeded run replays its Retry-After advice exactly.
+// [0.75, 1.25) from a seeded stream, so a seeded run replays its
+// Retry-After advice exactly.
 func (o *overload) jitterFactor() float64 {
 	o.jitterMu.Lock()
 	defer o.jitterMu.Unlock()
-	o.jitter += 0x9e3779b97f4a7c15
-	x := o.jitter
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return 0.75 + 0.5*float64(x%(1<<53))/(1<<53)
+	return 0.75 + 0.5*o.jitter.Float()
 }
 
 // retryAfter derives shed Retry-After advice from the queue drain
@@ -292,13 +273,13 @@ type ClassServiceStatus struct {
 
 // OverloadStatus is the /statusz overload-control surface.
 type OverloadStatus struct {
-	TargetDelayMS   int64 `json:"target_delay_ms"`
-	IntervalMS      int64 `json:"interval_ms"`
-	Dropping        bool  `json:"dropping"`
-	DropCount       int   `json:"drop_count"`
-	Drops           int64 `json:"drops"`
-	GlobalSamples   int   `json:"global_samples"`
-	GlobalEwmaMS    float64 `json:"global_ewma_ms"`
+	TargetDelayMS int64   `json:"target_delay_ms"`
+	IntervalMS    int64   `json:"interval_ms"`
+	Dropping      bool    `json:"dropping"`
+	DropCount     int     `json:"drop_count"`
+	Drops         int64   `json:"drops"`
+	GlobalSamples int     `json:"global_samples"`
+	GlobalEwmaMS  float64 `json:"global_ewma_ms"`
 	// RetryBaseMS is the current (unjittered) drain-rate Retry-After
 	// estimate for a request shed right now.
 	RetryBaseMS int64                         `json:"retry_base_ms"`

@@ -423,19 +423,24 @@ const (
 
 // admit enqueues t unless the server is draining or the queue is
 // full. It holds the admission read-lock across the flag check and
-// the send so drain can never close the queue between them.
+// the send so drain can never close the queue between them. The
+// in-flight counts go up before the send: a worker may dequeue and
+// finish t before the send returns, and its Done must never run ahead
+// of the matching Add.
 func (s *Server) admit(t *task) admitErr {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining {
 		return admitDraining
 	}
+	s.inflight.Add(1)
+	s.inflightN.Add(1)
 	select {
 	case s.queue <- t:
-		s.inflight.Add(1)
-		s.inflightN.Add(1)
 		return admitOK
 	default:
+		s.inflightN.Add(-1)
+		s.inflight.Done()
 		return admitFull
 	}
 }

@@ -130,6 +130,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	if ok, ra := b.Allow(now); ok || ra <= 0 {
 		t.Fatalf("open breaker must reject with retry-after, got ok=%v ra=%v", ok, ra)
 	}
+	if _, ra := b.Allow(b.reopenAt.Add(-time.Microsecond)); ra.Milliseconds() < 1 {
+		t.Fatalf("retry-after %v just before half-open renders as 0ms", ra)
+	}
 
 	// Jitter is bounded in [0.5x, 1.5x); past that the breaker must
 	// half-open and admit exactly one probe.
@@ -602,5 +605,45 @@ func TestServerDrainIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent Drain deadlocked")
+	}
+}
+
+// TestAdmitInstantTasksConcurrently races admission against workers
+// that finish each task at once: every task is already past
+// MaxQueueAge, so process sheds it without touching the engine. A
+// worker can then call inflight.Done before the admitting goroutine
+// resumes after its send, so admission must count the task in flight
+// before sending it (a late Add panics with a negative WaitGroup
+// counter). Once drained, nothing may be left in flight. (Checked after
+// Drain: a worker answers a task before it uncounts it.)
+func TestAdmitInstantTasksConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s, err := New(Config{Engine: engine.New(engine.Config{Workers: 1}), Workers: 8, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				tk := &task{class: "instant", done: make(chan Response, 1)}
+				if s.admit(tk) != admitOK {
+					continue
+				}
+				if resp := <-tk.done; resp.Class != ClassShed {
+					t.Errorf("instant task answered %s, want shed", resp.Class)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if n := s.StatusSnapshot().InFlight; n != 0 {
+		t.Fatalf("in-flight %d after drain", n)
 	}
 }

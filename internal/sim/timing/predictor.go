@@ -1,6 +1,9 @@
 package timing
 
-import "repro/internal/ir"
+import (
+	"repro/internal/ir"
+	"repro/internal/seeded"
+)
 
 // Exit outcome encoding for the predictor: a successor block ID, or
 // retOutcome for a return exit.
@@ -50,13 +53,7 @@ func newPredictor(historyLen int) *predictor {
 // fnv1a is the predictor's function-name hash component. Machines
 // precompute it once per function (see funcMeta); the test-facing
 // observe wrapper computes it on the fly.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
+func fnv1a(s string) uint64 { return seeded.Hash(s) }
 
 // key combines the precomputed function hash, the block ID, and the
 // current exit history. The value is identical to the original

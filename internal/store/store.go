@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"repro/internal/seeded"
 )
 
 // Store is a content-addressed artifact store. Keys are opaque
@@ -169,17 +171,6 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// fnv1a64 hashes s with FNV-1a (the same family the breaker salt and
-// chaos site hashing use; no dependency, deterministic across runs).
-func fnv1a64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Rank orders nodes for key by rendezvous (highest-random-weight)
 // hashing: every participant computes the same order from the key and
 // the node names alone, so shard choice needs no coordination, and
@@ -192,7 +183,7 @@ func Rank(key string, nodes []string) []string {
 	}
 	ss := make([]scored, len(nodes))
 	for i, n := range nodes {
-		ss[i] = scored{n, fnv1a64(key + "\x00" + n)}
+		ss[i] = scored{n, seeded.Hash(key + "\x00" + n)}
 	}
 	sort.Slice(ss, func(a, b int) bool {
 		if ss[a].score != ss[b].score {
