@@ -6,7 +6,7 @@
 //
 //	hbfront -shards URL,URL,... [-addr 127.0.0.1:8090] [-addr-file FILE]
 //	        [-cluster-seeds URL,URL,...]
-//	        [-hedge-after 50ms] [-hedge-max 2s] [-hedge-quantile 0.95]
+//	        [-hedge-after 50ms] [-hedge-max 2s]
 //	        [-timeout 10s] [-max-timeout 60s] [-drain 10s]
 //	        [-netchaos-seed 0] [-version]
 //
@@ -19,11 +19,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/jobs    — same request/response schema as hbserved
-//	GET  /healthz    — liveness
-//	GET  /readyz     — admission readiness (503 while draining)
-//	GET  /statusz    — hit rate, hedge rate, coalesce count, per-shard health
-//	POST /admin/swap — hot-swap the shard set ({"shards": [...]})
+//	POST /v1/jobs — same request/response schema as hbserved
+//	GET  /healthz — liveness
+//	GET  /readyz  — admission readiness (503 while draining)
+//	GET  /statusz — hit rate, hedge rate, coalesce count, per-shard health
 //
 // On SIGTERM/SIGINT the front drains: new requests shed, every
 // admitted request receives exactly one terminal response, then the
@@ -56,7 +55,6 @@ func main() {
 	clusterSeeds := flag.String("cluster-seeds", "", "comma-separated ring member URLs to observe for membership-driven routing")
 	hedgeAfter := flag.Duration("hedge-after", 50*time.Millisecond, "hedge budget floor (and cold-start value)")
 	hedgeMax := flag.Duration("hedge-max", 2*time.Second, "hedge budget cap")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "latency quantile that sets the hedge budget")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on client-supplied deadlines")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain budget")
@@ -95,7 +93,6 @@ func main() {
 		Shards:         urls,
 		HedgeAfter:     *hedgeAfter,
 		HedgeMax:       *hedgeMax,
-		HedgeQuantile:  *hedgeQuantile,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		Client:         client,
@@ -125,8 +122,8 @@ func main() {
 	if *addrFile != "" {
 		fail(os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644))
 	}
-	fmt.Fprintf(os.Stderr, "hbfront: listening on %s, routing %d shards (hedge %s..%s @p%.0f)\n",
-		bound, len(urls), *hedgeAfter, *hedgeMax, 100**hedgeQuantile)
+	fmt.Fprintf(os.Stderr, "hbfront: listening on %s, routing %d shards (hedge %s..%s @p95)\n",
+		bound, len(urls), *hedgeAfter, *hedgeMax)
 
 	hs := &http.Server{Handler: f.Handler()}
 	serveErr := make(chan error, 1)

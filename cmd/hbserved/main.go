@@ -6,7 +6,7 @@
 //	         [-timeout 10s] [-max-timeout 60s] [-max-queue-age 5s]
 //	         [-target-queue-delay 0] [-retry-jitter-seed 0]
 //	         [-drain 10s] [-cache-dir DIR] [-scrub]
-//	         [-shard-id ID] [-peers URL,URL,...] [-store-url URL]
+//	         [-shard-id ID] [-peers URL,URL,...]
 //	         [-replicas 1] [-antientropy-interval 0]
 //	         [-cluster] [-cluster-join URL,URL,...] [-advertise URL]
 //	         [-cluster-interval 1s] [-join-warmup 0]
@@ -26,8 +26,7 @@
 // Cluster mode: -peers lists sibling shards' base URLs — on a local
 // cache miss the shard fetches the artifact from the rendezvous-ranked
 // peers before compiling (and verifies the content hash before
-// trusting it). -store-url names a shared deeper store consulted
-// after the peers. -shard-id tags responses (X-Hbserved-Shard) and
+// trusting it). -shard-id tags responses (X-Hbserved-Shard) and
 // /statusz so hbfront's routing decisions are auditable. See
 // DESIGN.md's "Cluster architecture" section.
 //
@@ -92,7 +91,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to this directory")
 	shardID := flag.String("shard-id", "", "shard identity tag for responses and /statusz")
 	peers := flag.String("peers", "", "comma-separated sibling shard base URLs to fetch artifacts from")
-	storeURL := flag.String("store-url", "", "shared deeper artifact store base URL (consulted after peers)")
 	replicas := flag.Int("replicas", 1, "artifact replication factor across peers (writes fan out to the top R, deep read hits repair earlier replicas)")
 	scrub := flag.Bool("scrub", false, "verify every on-disk artifact at startup, quarantining corrupt entries (needs -cache-dir)")
 	antiEntropy := flag.Duration("antientropy-interval", 0, "background replication-repair sweep interval (0: off; needs -peers or -cluster)")
@@ -120,8 +118,8 @@ func main() {
 	// The artifact topology: a local tier (disk if -cache-dir, memory
 	// otherwise) is always the tier the /artifact/ handler serves —
 	// never the tiered chain, or two peers would bounce a miss back
-	// and forth. Peer and shared-store tiers stack behind it
-	// read-through/write-back.
+	// and forth. The peer tier stacks behind it read-through/
+	// write-back.
 	var local store.Store
 	if *cacheDir != "" {
 		disk, derr := store.NewDisk(*cacheDir, engine.KeySchema)
@@ -187,7 +185,7 @@ func main() {
 	}
 
 	var peerTier *store.Peer
-	tiers := []store.Store{localTier}
+	var backing store.Store = local
 	if urls := splitURLs(*peers); len(urls) > 0 || inCluster {
 		// In cluster mode the static list (possibly empty) is only the
 		// pre-convergence fallback; the live membership view replaces
@@ -197,14 +195,7 @@ func main() {
 			OpTimeout:  *timeout / 2,
 			ReadRepair: *replicas > 1,
 		})
-		tiers = append(tiers, peerTier)
-	}
-	if *storeURL != "" {
-		tiers = append(tiers, store.NewPeerWith("store", engine.KeySchema, []string{*storeURL}, peerClient, store.PeerOpts{}))
-	}
-	var backing store.Store = local
-	if len(tiers) > 1 {
-		backing = store.NewTiered(tiers...)
+		backing = store.NewTiered(localTier, peerTier)
 	}
 
 	// Anti-entropy: the sweeper enumerates the raw local store and
@@ -279,9 +270,9 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "hbserved: listening on %s (%d workers, queue %d, timeout %s, drain %s)\n",
 		bound, effectiveWorkers(*workers), *queue, *timeout, *drain)
-	if *shardID != "" || *peers != "" || *storeURL != "" {
-		fmt.Fprintf(os.Stderr, "hbserved: cluster mode: shard=%q peers=%q store=%q key-schema=%d\n",
-			*shardID, *peers, *storeURL, engine.KeySchema)
+	if *shardID != "" || *peers != "" {
+		fmt.Fprintf(os.Stderr, "hbserved: cluster mode: shard=%q peers=%q key-schema=%d\n",
+			*shardID, *peers, engine.KeySchema)
 	}
 
 	hs := &http.Server{Handler: srv.Handler()}

@@ -27,7 +27,9 @@ import (
 //     flight's context canceled.
 //   - Every waiter — runner's submission included — resolves exactly
 //     once: with the flight outcome, or with ErrCanceled/ErrTimeout
-//     when its own context ends first.
+//     when its own context ends first. A submission whose context has
+//     already ended when it finds no flight resolves the same way
+//     without starting one.
 //   - The runner publishes to the cache before the flight closes, and
 //     the flight is removed from the table before waiters are woken,
 //     so a submission that misses the cache and finds no flight can
@@ -93,6 +95,14 @@ func (e *Engine) runCoalesced(ctx context.Context, r *Result, j Job, key, qkey s
 		m.Workload, m.Config, m.Sim = j.Workload, j.Config, j.Sim
 		r.Metrics = m
 		r.CacheHit = true
+		return
+	}
+	if ctx.Err() != nil {
+		// The submitter already left (a canceled hedge loser, a caller
+		// past its deadline): a flight started now would be canceled
+		// at once and still count as a compile.
+		e.fmu.Unlock()
+		r.Err = ctxErr(ctx, j)
 		return
 	}
 	fctx, cancel := context.WithCancel(context.Background())
@@ -168,12 +178,7 @@ func (e *Engine) wait(ctx context.Context, r *Result, j Job, f *flight) {
 	case <-f.done:
 	case <-ctx.Done():
 		e.leave(r.Key, f)
-		switch {
-		case errors.Is(ctx.Err(), context.DeadlineExceeded):
-			r.Err = fmt.Errorf("engine: job %s/%s coalesced wait: %w", j.Workload, j.Config, ErrTimeout)
-		default:
-			r.Err = fmt.Errorf("%w: job %s/%s: %w", ErrCanceled, j.Workload, j.Config, context.Canceled)
-		}
+		r.Err = ctxErr(ctx, j)
 		return
 	}
 	o := f.out
@@ -190,6 +195,16 @@ func (e *Engine) wait(ctx context.Context, r *Result, j Job, f *flight) {
 		// waiter did not re-execute anything.
 		r.Retries = o.retries
 	}
+}
+
+// ctxErr resolves a submission whose own context ended before its
+// flight did: ErrTimeout for an expired deadline, ErrCanceled
+// otherwise.
+func ctxErr(ctx context.Context, j Job) error {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return fmt.Errorf("engine: job %s/%s coalesced wait: %w", j.Workload, j.Config, ErrTimeout)
+	}
+	return fmt.Errorf("%w: job %s/%s: %w", ErrCanceled, j.Workload, j.Config, context.Canceled)
 }
 
 // leave removes one waiter from the flight; the last one out cancels

@@ -134,6 +134,28 @@ func TestSingleFlightWaiterCancellation(t *testing.T) {
 	}
 }
 
+// TestSingleFlightDeadSubmission: a submission whose context already
+// ended when it misses the cache resolves the way a departing waiter
+// does — ErrCanceled for a canceled context, ErrTimeout for an expired
+// deadline — and starts no flight, so a client that left before its
+// turn never counts as a compile.
+func TestSingleFlightDeadSubmission(t *testing.T) {
+	e := New(Config{Workers: 2})
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r := e.Submit(canceled, coalesceJob()); !errors.Is(r.Err, ErrCanceled) {
+		t.Fatalf("canceled submission error = %v, want ErrCanceled", r.Err)
+	}
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	if r := e.Submit(expired, coalesceJob()); !errors.Is(r.Err, ErrTimeout) {
+		t.Fatalf("expired submission error = %v, want ErrTimeout", r.Err)
+	}
+	if fs := e.FlightStats(); fs.Flights != 0 || fs.Inflight != 0 {
+		t.Fatalf("dead submissions started flights: %+v", fs)
+	}
+}
+
 // TestSingleFlightPublishRace: the runner's publish and a fresh
 // submission racing the flight teardown must converge on the cache —
 // the post-join peek under the flight lock means a submission can

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -389,14 +390,15 @@ func TestClusterShardKillZeroLost(t *testing.T) {
 	}
 }
 
-// TestClusterHotSwap: swapping the shard set mid-burst still yields
-// exactly one successful terminal response per request — flights in
-// progress drain on the old generation, new requests use the new one.
-func TestClusterHotSwap(t *testing.T) {
+// TestClusterViewChangeMidBurst: a membership view that arrives
+// mid-burst — the old set's first shard confirmed dead, a new member
+// alive — still yields exactly one successful terminal response per
+// request: flights in progress finish on the set they started with,
+// new requests route by the new view.
+func TestClusterViewChangeMidBurst(t *testing.T) {
 	shards := newCluster(t, 3)
-	oldSet := clusterURLs(shards)[:2]
-	newSet := clusterURLs(shards)[1:]
-	f, err := New(Config{Shards: oldSet})
+	urls := clusterURLs(shards)
+	f, err := New(Config{Shards: urls[:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,15 +437,17 @@ func TestClusterHotSwap(t *testing.T) {
 	}
 	close(start)
 	time.Sleep(5 * time.Millisecond)
-	if _, to, err := f.Swap(newSet); err != nil || to != 2 {
-		t.Fatalf("swap: to=%d err=%v", to, err)
-	}
+	f.ApplyView(membershipView(map[string]cluster.State{
+		urls[0]: cluster.StateDead,
+		urls[1]: cluster.StateAlive,
+		urls[2]: cluster.StateAlive,
+	}))
 	wg.Wait()
 
 	if responses.Load() != n || okCount.Load() != n {
 		t.Fatalf("%d responses (%d ok) for %d requests", responses.Load(), okCount.Load(), n)
 	}
-	if st := f.StatusSnapshot(); st.Gen != 2 {
-		t.Fatalf("gen = %d after swap", st.Gen)
+	if st := f.StatusSnapshot(); st.ViewApplies != 1 {
+		t.Fatalf("view_applies = %d, want 1", st.ViewApplies)
 	}
 }

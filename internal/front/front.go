@@ -11,27 +11,27 @@
 //     remaps the keys that ranked it first.
 //
 //   - Hedged retries: the primary gets a budget derived from its own
-//     recent latency distribution (a configurable quantile, clamped);
-//     past the budget the same request is issued to the second-ranked
-//     shard and the first response wins — the loser is canceled
-//     through its context. A transport failure fails over to the
-//     second choice immediately. Per-shard circuit breakers (the same
-//     state machine the server uses per workload class) stop the
-//     front from hammering a dead shard, and shard failures map into
-//     the server's ErrClass taxonomy.
+//     recent latency distribution (its p95, clamped); past the budget
+//     the same request is issued to the second-ranked shard and the
+//     first response wins — the loser is canceled through its
+//     context. A transport failure fails over to the second choice
+//     immediately. Per-shard circuit breakers (the same state machine
+//     the server uses per workload class) stop the front from
+//     hammering a dead shard, and shard failures map into the
+//     server's ErrClass taxonomy.
 //
 //   - Single-flight: identical concurrent requests coalesce on the
-//     front by (generation, cache key) before any shard is touched,
-//     so a thundering herd of N identical requests crosses the
-//     network once, coalesces again on the shard, and costs exactly
-//     one compile cluster-wide.
+//     front by cache key and deadline before any shard is touched, so
+//     a thundering herd of N identical requests crosses the network
+//     once and costs exactly one compile cluster-wide. The shard's
+//     engine coalesces too, but only after each request has taken a
+//     queue slot and a worker: without the front's flight a herd
+//     fills the primary's queue, sheds, and hedges onto the secondary.
 //
-// Hot-swap: Swap atomically installs a new shard set (e.g. a new
-// compiler version) under a new generation. Flights in progress keep
-// the generation they started on and drain naturally; new requests
-// start flights on the new set. A waiter is bound to exactly one
-// flight, so the cutover can never deliver duplicate (or zero)
-// terminal responses — the seamless-handoff-with-dedup idiom.
+// Topology changes arrive one way, through ApplyView: a waiter is
+// bound to exactly one flight, and a flight keeps the shard set it
+// started on, so a view change can never deliver duplicate (or zero)
+// terminal responses.
 package front
 
 import (
@@ -57,16 +57,10 @@ import (
 type Config struct {
 	// Shards are the initial backend base URLs (required, >= 1).
 	Shards []string
-	// Workloads is the named-workload catalog used to derive cache
-	// keys (nil: Micro ∪ Spec — must match the shards').
-	Workloads []workloads.Workload
 	// HedgeAfter is the floor (and cold-start value) of the hedge
-	// budget; HedgeMax caps it; HedgeQuantile picks the point of the
-	// primary's recent latency distribution used once enough samples
-	// exist. Defaults: 50ms, 2s, 0.95.
-	HedgeAfter    time.Duration
-	HedgeMax      time.Duration
-	HedgeQuantile float64
+	// budget; HedgeMax caps it. Defaults: 50ms, 2s.
+	HedgeAfter time.Duration
+	HedgeMax   time.Duration
 	// DefaultTimeout/MaxTimeout mirror the server's request-deadline
 	// policy (defaults 10s/60s). A flight itself is bounded by the
 	// initiating request's clamped deadline.
@@ -80,17 +74,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workloads == nil {
-		c.Workloads = append(workloads.Micro(), workloads.Spec()...)
-	}
 	if c.HedgeAfter <= 0 {
 		c.HedgeAfter = 50 * time.Millisecond
 	}
 	if c.HedgeMax <= 0 {
 		c.HedgeMax = 2 * time.Second
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
@@ -105,11 +93,9 @@ func (c Config) withDefaults() Config {
 }
 
 // flightKey identifies a coalescable request: the engine cache key
-// (which hashes everything that determines the result), the client
-// deadline (excluded from the engine key but visible in behavior),
-// and the shard-set generation (flights never span a hot-swap).
+// (which hashes everything that determines the result) and the client
+// deadline (excluded from the engine key but visible in behavior).
 type flightKey struct {
-	gen       int
 	key       string
 	timeoutMS int64
 }
@@ -148,8 +134,9 @@ type Front struct {
 	byName map[string]*workloads.Workload
 	client *http.Client
 
-	// mu guards set, flights, pool and draining; admission holds the
-	// read side (same discipline as the server's drain).
+	// mu guards set, flights, pool and draining; admission holds it
+	// across the draining check and the flight join (same discipline
+	// as the server's drain).
 	mu       sync.RWMutex
 	set      *shardSet
 	flights  map[flightKey]*flight
@@ -177,7 +164,6 @@ type Front struct {
 	// overload signal, relayed with the max upstream Retry-After.
 	shedNexts atomic.Int64
 	allShed   atomic.Int64
-	swaps     atomic.Int64
 	cacheHits atomic.Int64 // responses served from a shard cache or coalesce
 	// deadSkips counts launch candidates passed over because the
 	// membership view had confirmed them dead — hedges and failovers
@@ -200,22 +186,18 @@ type Front struct {
 // New builds a front over the configured shard set.
 func New(cfg Config) (*Front, error) {
 	cfg = cfg.withDefaults()
-	set := newShardSet(1, cfg.Shards, cfg.Breaker)
+	set := newShardSet(cfg.Shards, cfg.Breaker)
 	if len(set.urls) == 0 {
 		return nil, fmt.Errorf("front: Config.Shards must name at least one shard URL")
 	}
 	f := &Front{
 		cfg:     cfg,
-		byName:  map[string]*workloads.Workload{},
+		byName:  server.Catalog(),
 		client:  cfg.Client,
 		set:     set,
 		flights: map[flightKey]*flight{},
 		start:   time.Now(),
 		counts:  map[server.ErrClass]*atomic.Int64{},
-	}
-	for i := range cfg.Workloads {
-		w := &cfg.Workloads[i]
-		f.byName[w.Name] = w
 	}
 	for _, c := range server.Classes {
 		f.counts[c] = &atomic.Int64{}
@@ -223,30 +205,13 @@ func New(cfg Config) (*Front, error) {
 	return f, nil
 }
 
-// Swap installs a new shard set under the next generation: new
-// requests route to it immediately, flights in progress finish on the
-// set they started with. Returns the old and new generation numbers.
-func (f *Front) Swap(urls []string) (from, to int, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	next := newShardSet(f.set.gen+1, urls, f.cfg.Breaker)
-	if len(next.urls) == 0 {
-		return f.set.gen, f.set.gen, fmt.Errorf("front: swap needs at least one shard URL")
-	}
-	from = f.set.gen
-	f.set = next
-	f.swaps.Add(1)
-	return from, next.gen, nil
-}
-
 // ApplyView rebuilds the routing set from a cluster membership view:
 // serving members (alive, joining, suspect) become launch candidates,
 // suspects are flagged for deprioritization, and confirmed-dead
 // members stay in the rendezvous ranking — preserving every live
-// shard's key affinity — but are skipped at launch. The generation is
-// unchanged (a topology delta is not a compiler cutover, so in-flight
-// coalescing keeps working across it), and shard structs are reused
-// from a pool so breaker and latency state survive the rebuild.
+// shard's key affinity — but are skipped at launch. Flights in
+// progress finish on the set they started with, and shard structs are
+// reused from a pool so breaker and latency state survive the rebuild.
 func (f *Front) ApplyView(v cluster.View) {
 	serving := v.Serving()
 	if len(serving) == 0 {
@@ -278,7 +243,6 @@ func (f *Front) ApplyView(v cluster.View) {
 		}
 	}
 	set := &shardSet{
-		gen:     f.set.gen,
 		shards:  make(map[string]*shard, len(serving)+len(dead)),
 		suspect: suspect,
 		dead:    dead,
@@ -412,19 +376,10 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	timeout := f.timeout(req)
 	body, _ := json.Marshal(req)
 
-	// Admission: the read lock spans the draining check, the flight
-	// join/create, and the in-flight increment, so Drain (write lock)
-	// can never slip between them.
-	f.mu.RLock()
-	if f.draining {
-		f.mu.RUnlock()
-		f.respond(w, synthesize(server.ClassShed, "front: shed: draining", time.Second))
-		return
-	}
-	set := f.set
-	fk := flightKey{gen: set.gen, key: key, timeoutMS: req.TimeoutMS}
-	f.mu.RUnlock()
-
+	// Admission: the lock spans the draining check, the flight
+	// join/create, and the in-flight increment, so Drain can never
+	// slip between them.
+	fk := flightKey{key: key, timeoutMS: req.TimeoutMS}
 	f.mu.Lock()
 	if f.draining {
 		f.mu.Unlock()
@@ -441,7 +396,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !joined {
 		fl = &flight{done: make(chan struct{})}
 		f.flights[fk] = fl
-		go f.runFlight(fk, fl, set, body, timeout)
+		go f.runFlight(fk, fl, f.set, body, timeout)
 	}
 	f.mu.Unlock()
 	if joined {
@@ -513,12 +468,9 @@ func (f *Front) nextAllowed(set *shardSet, order []string, i int, now time.Time)
 // the next healthy choice after the latency budget (or instantly on a
 // transport failure), first HTTP response wins, loser canceled.
 func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []byte) upstream {
-	order := store.Rank(key, set.urls)
-	if reordered, moved := set.deprioritizeSuspects(order); moved {
+	order, moved := set.deprioritizeSuspects(store.Rank(key, set.urls))
+	if moved {
 		f.suspectDepri.Add(1)
-		order = reordered
-	} else {
-		order = reordered
 	}
 	now := time.Now()
 	primary, next, brkRetry := f.nextAllowed(set, order, 0, now)

@@ -32,14 +32,17 @@ func newShard(u string, bcfg server.BreakerConfig) *shard {
 }
 
 // hedgeBudget computes how long to wait on this shard before hedging:
-// the configured quantile of its recent latencies, clamped to
+// the hedgeQuantile of its recent latencies, clamped to
 // [HedgeAfter, HedgeMax]. Until minHedgeSamples responses have been
 // observed the floor is used unmodified — hedging aggressively off
 // two data points would hedge on noise.
-const minHedgeSamples = 8
+const (
+	hedgeQuantile   = 0.95
+	minHedgeSamples = 8
+)
 
 func (s *shard) hedgeBudget(cfg Config) time.Duration {
-	ns, n := s.lat.Quantile(cfg.HedgeQuantile)
+	ns, n := s.lat.Quantile(hedgeQuantile)
 	q := time.Duration(ns)
 	if n < minHedgeSamples || q < cfg.HedgeAfter {
 		return cfg.HedgeAfter
@@ -50,24 +53,22 @@ func (s *shard) hedgeBudget(cfg Config) time.Duration {
 	return q
 }
 
-// shardSet is one generation of backends. Swap replaces the whole
-// set; in-flight work keeps the generation it started on, so a
-// cutover can never deliver two responses (one per generation) to the
-// same waiter. When a membership view is driving the set, urls also
-// carries confirmed-dead members — they keep their rendezvous ranks
-// (so the live shards' key affinity is undisturbed) but are skipped
-// at launch time — and suspect flags deprioritize members the
+// shardSet is the routing set: the rendezvous names and their shard
+// structs. ApplyView replaces the whole set; in-flight work keeps the
+// set it started on. When a membership view is driving the set, urls
+// also carries confirmed-dead members — they keep their rendezvous
+// ranks (so the live shards' key affinity is undisturbed) but are
+// skipped at launch time — and suspect flags deprioritize members the
 // failure detector doubts.
 type shardSet struct {
-	gen     int
 	urls    []string // rendezvous node names, same order as shards
 	shards  map[string]*shard
 	suspect map[string]bool // nil when statically configured
 	dead    map[string]bool // nil when statically configured
 }
 
-func newShardSet(gen int, urls []string, bcfg server.BreakerConfig) *shardSet {
-	set := &shardSet{gen: gen, shards: make(map[string]*shard, len(urls))}
+func newShardSet(urls []string, bcfg server.BreakerConfig) *shardSet {
+	set := &shardSet{shards: make(map[string]*shard, len(urls))}
 	seen := map[string]bool{}
 	for _, u := range urls {
 		for len(u) > 0 && u[len(u)-1] == '/' {

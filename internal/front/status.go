@@ -2,7 +2,6 @@ package front
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -34,9 +33,6 @@ type Status struct {
 	Build         buildinfo.Info `json:"build"`
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Draining      bool           `json:"draining"`
-	// Gen is the current shard-set generation; Swaps counts hot-swaps.
-	Gen   int   `json:"gen"`
-	Swaps int64 `json:"swaps"`
 
 	Requests int64 `json:"requests"`
 	Inflight int64 `json:"inflight"`
@@ -93,8 +89,6 @@ func (f *Front) StatusSnapshot() Status {
 		Build:                buildinfo.Collect("hbfront"),
 		UptimeSeconds:        time.Since(f.start).Seconds(),
 		Draining:             draining,
-		Gen:                  set.gen,
-		Swaps:                f.swaps.Load(),
 		Requests:             f.requests.Load(),
 		Inflight:             f.inflightN.Load(),
 		Coalesced:            f.coalesced.Load(),
@@ -142,39 +136,12 @@ func (f *Front) StatusSnapshot() Status {
 	return st
 }
 
-// handleSwap is POST /admin/swap: {"shards": ["url", ...]} installs a
-// new shard set under the next generation.
-func (f *Front) handleSwap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req struct {
-		Shards []string `json:"shards"`
-	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad JSON: %v", err), http.StatusBadRequest)
-		return
-	}
-	from, to, err := f.Swap(req.Shards)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"from_gen": from, "to_gen": to})
-}
-
 // Handler mounts the front tier's HTTP surface:
 //
 //	POST /v1/jobs    submit (same schema as hbserved)
 //	GET  /healthz    liveness
 //	GET  /readyz     admission (503 while draining)
 //	GET  /statusz    Status JSON
-//	POST /admin/swap hot-swap the shard set
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", f.handleJobs)
@@ -197,6 +164,5 @@ func (f *Front) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(f.StatusSnapshot())
 	})
-	mux.HandleFunc("/admin/swap", f.handleSwap)
 	return mux
 }

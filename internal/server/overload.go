@@ -10,11 +10,10 @@ import (
 )
 
 // This file is the adaptive overload controller: a CoDel-style
-// target-queue-delay loop on dequeue, deadline-aware admission and
-// per-class weighted shedding at enqueue, and Retry-After advice
-// derived from the observed queue drain rate with deterministic
-// seeded jitter. The static MaxQueueAge cutoff remains as the hard
-// backstop above all of it.
+// target-queue-delay loop on dequeue, deadline-aware admission at
+// enqueue, and Retry-After advice derived from the observed queue
+// drain rate with deterministic seeded jitter. The static MaxQueueAge
+// cutoff remains as the hard backstop above all of it.
 //
 // Everything here is estimate-gated: until a class (and the server as
 // a whole) has recorded statsMinSamples completed service times, the
@@ -210,54 +209,25 @@ func (o *overload) retryAfter(queueLen, workers int, fallback time.Duration) tim
 	return d
 }
 
-// admitVerdict says why the overload gates refused a request.
-type admitVerdict int
-
-const (
-	gateAdmit admitVerdict = iota
-	// gateDeadline: the request cannot finish inside its own deadline
-	// even if admitted right now — queue drain plus the class's p90
-	// service time already exceeds the budget. Shedding it at enqueue
-	// costs the client one RTT; admitting it costs a worker slot to
-	// produce a guaranteed timeout.
-	gateDeadline
-	// gateWeighted: the class's service time is expensive relative to
-	// the global mean and the queue has grown past the class's
-	// weighted share of it — the expensive class backs off first so
-	// cheap classes are not starved behind it.
-	gateWeighted
-)
-
-// weightFloor bounds how small an expensive class's queue share gets.
-const weightFloor = 0.25
-
-// admitGate runs the estimate-driven admission checks. budget is the
-// request's full deadline; queueLen/queueCap/workers describe the
-// queue at decision time. Inert (gateAdmit) until both the class and
-// the global estimators are warm.
-func (o *overload) admitGate(class string, budget time.Duration, queueLen, queueCap, workers int) admitVerdict {
+// missesDeadline is the estimate-driven admission check: the request
+// cannot finish inside its own deadline even if admitted right now —
+// queue drain plus the class's p90 service time already exceeds the
+// budget. Shedding it at enqueue costs the client one RTT; admitting
+// it costs a worker slot to produce a guaranteed timeout. budget is
+// the request's full deadline; queueLen/workers describe the queue at
+// decision time. Inert (false) until both the class and the global
+// estimators are warm.
+func (o *overload) missesDeadline(class string, budget time.Duration, queueLen, workers int) bool {
 	gEwma, _, gn := o.global.estimate()
 	if gn < statsMinSamples || workers <= 0 {
-		return gateAdmit
+		return false
 	}
-	cEwma, cp90, cn := o.class(class).estimate()
+	_, cp90, cn := o.class(class).estimate()
 	if cn < statsMinSamples {
-		return gateAdmit
+		return false
 	}
 	drain := time.Duration(float64(queueLen) * float64(gEwma) / float64(workers))
-	if drain+cp90 > budget {
-		return gateDeadline
-	}
-	if cEwma > gEwma {
-		w := float64(gEwma) / float64(cEwma)
-		if w < weightFloor {
-			w = weightFloor
-		}
-		if w < 1 && float64(queueLen) >= w*float64(queueCap) {
-			return gateWeighted
-		}
-	}
-	return gateAdmit
+	return drain+cp90 > budget
 }
 
 // ClassServiceStatus is one class's service-time estimate on
@@ -266,9 +236,6 @@ type ClassServiceStatus struct {
 	EwmaMS  float64 `json:"ewma_ms"`
 	P90MS   float64 `json:"p90_ms"`
 	Samples int     `json:"samples"`
-	// Weight is the class's effective queue share under weighted
-	// shedding (1 = full queue).
-	Weight float64 `json:"weight"`
 }
 
 // OverloadStatus is the /statusz overload-control surface.
@@ -309,18 +276,10 @@ func (o *overload) status(queueLen, workers int, fallback time.Duration) Overloa
 	defer o.mu.Unlock()
 	for name, cs := range o.classes {
 		ewma, p90, n := cs.estimate()
-		w := 1.0
-		if gn >= statsMinSamples && n >= statsMinSamples && ewma > gEwma {
-			w = float64(gEwma) / float64(ewma)
-			if w < weightFloor {
-				w = weightFloor
-			}
-		}
 		st.Classes[name] = ClassServiceStatus{
 			EwmaMS:  float64(ewma.Nanoseconds()) / 1e6,
 			P90MS:   float64(p90.Nanoseconds()) / 1e6,
 			Samples: n,
-			Weight:  w,
 		}
 	}
 	return st

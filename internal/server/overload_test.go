@@ -162,14 +162,14 @@ func TestAdmitGateColdInert(t *testing.T) {
 	o := newOverload(time.Millisecond, 4*time.Millisecond, 1)
 	// No samples at all, then a class below the warm threshold:
 	// always admit.
-	if got := o.admitGate("x", time.Millisecond, 1000, 8, 1); got != gateAdmit {
-		t.Fatalf("cold gate = %v, want admit", got)
+	if o.missesDeadline("x", time.Millisecond, 1000, 1) {
+		t.Fatal("cold gate shed, want admit")
 	}
 	for i := 0; i < statsMinSamples-1; i++ {
 		o.observe("x", time.Second)
 	}
-	if got := o.admitGate("x", time.Millisecond, 1000, 8, 1); got != gateAdmit {
-		t.Fatalf("under-sampled gate = %v, want admit", got)
+	if o.missesDeadline("x", time.Millisecond, 1000, 1) {
+		t.Fatal("under-sampled gate shed, want admit")
 	}
 }
 
@@ -179,40 +179,12 @@ func TestAdmitGateDeadline(t *testing.T) {
 		o.observe("slow", 100*time.Millisecond)
 	}
 	// Queue drain (4×100ms / 1 worker) + p90 100ms ≫ 50ms budget.
-	if got := o.admitGate("slow", 50*time.Millisecond, 4, 8, 1); got != gateDeadline {
-		t.Fatalf("doomed request gate = %v, want deadline", got)
+	if !o.missesDeadline("slow", 50*time.Millisecond, 4, 1) {
+		t.Fatal("doomed request admitted, want deadline shed")
 	}
 	// A generous budget admits.
-	if got := o.admitGate("slow", 10*time.Second, 4, 8, 1); got == gateDeadline {
+	if o.missesDeadline("slow", 10*time.Second, 4, 1) {
 		t.Fatal("roomy deadline was rejected")
-	}
-}
-
-func TestAdmitGateWeighted(t *testing.T) {
-	o := newOverload(time.Millisecond, 4*time.Millisecond, 1)
-	// Mostly-cheap traffic with an expensive minority class: the
-	// global EWMA sits near the cheap cost, so the expensive class's
-	// weight collapses to the floor.
-	for i := 0; i < 40; i++ {
-		o.observe("cheap", time.Millisecond)
-		if i%5 == 0 {
-			o.observe("exp", 20*time.Millisecond)
-		}
-	}
-	const cap = 16
-	// Queue at a quarter of capacity: over the expensive class's
-	// floored share, under the cheap class's full share.
-	if got := o.admitGate("exp", 10*time.Second, cap/4, cap, 4); got != gateWeighted {
-		t.Fatalf("expensive class gate = %v, want weighted", got)
-	}
-	if got := o.admitGate("cheap", 10*time.Second, cap/4, cap, 4); got != gateAdmit {
-		t.Fatalf("cheap class gate = %v, want admit", got)
-	}
-	// Near-empty queue: even the expensive class gets in.
-	if got := o.admitGate("exp", 10*time.Second, 1, cap, 4); got != gateWeighted {
-		// weight floor 0.25 × cap 16 = 4 > 1 → admit expected
-	} else {
-		t.Fatal("expensive class shed from a near-empty queue")
 	}
 }
 

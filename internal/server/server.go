@@ -73,17 +73,12 @@ type Config struct {
 	// to drain-rate-derived Retry-After advice, so seeded runs replay
 	// their backpressure exactly.
 	RetryJitterSeed uint64
-	// HeapWatermark sheds new admissions while the sampled heap size
-	// is above this many bytes (<= 0: 2 GiB).
-	HeapWatermark uint64
 	// DrainBudget bounds graceful drain: in-flight requests get this
 	// long to finish before they are hard-canceled (cooperatively,
 	// through their contexts). <= 0: 10s.
 	DrainBudget time.Duration
 	// Breaker tunes the per-workload-class circuit breakers.
 	Breaker BreakerConfig
-	// Workloads is the named-workload catalog (nil: Micro ∪ Spec).
-	Workloads []workloads.Workload
 	// ShardID names this node in /statusz and the X-Hbserved-Shard
 	// response header (cluster deployments; "" for standalone).
 	ShardID string
@@ -130,16 +125,27 @@ func (c Config) withDefaults() Config {
 	if c.ControlInterval <= 0 {
 		c.ControlInterval = 4 * c.TargetQueueDelay
 	}
-	if c.HeapWatermark == 0 {
-		c.HeapWatermark = 2 << 30
-	}
 	if c.DrainBudget <= 0 {
 		c.DrainBudget = 10 * time.Second
 	}
-	if c.Workloads == nil {
-		c.Workloads = append(workloads.Micro(), workloads.Spec()...)
-	}
 	return c
+}
+
+// heapWatermark sheds new admissions while the sampled heap size is
+// above this many bytes.
+const heapWatermark = 2 << 30
+
+// Catalog is the named-workload catalog (Micro ∪ Spec) keyed by name.
+// The server and the front tier both resolve workload names through
+// it, so they derive the same engine job — and the same cache key —
+// for a request.
+func Catalog() map[string]*workloads.Workload {
+	ws := append(workloads.Micro(), workloads.Spec()...)
+	byName := make(map[string]*workloads.Workload, len(ws))
+	for i := range ws {
+		byName[ws[i].Name] = &ws[i]
+	}
+	return byName
 }
 
 // Request is the POST /v1/jobs body: either a named workload or
@@ -241,8 +247,7 @@ type Server struct {
 	samplerDone chan struct{}
 
 	// over is the adaptive overload controller (CoDel queue-delay
-	// shedding, deadline-aware admission, weighted per-class sheds,
-	// drain-rate Retry-After).
+	// shedding, deadline-aware admission, drain-rate Retry-After).
 	over *overload
 
 	start        time.Time
@@ -251,7 +256,6 @@ type Server struct {
 	shedAge      atomic.Int64 // shed: queue age (hard backstop)
 	shedDelay    atomic.Int64 // shed: CoDel target queue delay
 	shedDeadline atomic.Int64 // shed: doomed to miss its deadline
-	shedWeighted atomic.Int64 // shed: expensive class over its share
 	shedHeap     atomic.Int64 // shed: heap watermark
 	shedBrk      atomic.Int64 // shed: breaker open
 	shedDrain    atomic.Int64 // shed: draining
@@ -271,7 +275,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		eng:         cfg.Engine,
-		byName:      map[string]*workloads.Workload{},
+		byName:      Catalog(),
 		breakers:    NewBreakerSet(cfg.Breaker),
 		queue:       make(chan *task, cfg.QueueDepth),
 		hardCtx:     hardCtx,
@@ -281,10 +285,6 @@ func New(cfg Config) (*Server, error) {
 		over:        newOverload(cfg.TargetQueueDelay, cfg.ControlInterval, cfg.RetryJitterSeed),
 		start:       time.Now(),
 		counts:      map[ErrClass]*atomic.Int64{},
-	}
-	for i := range cfg.Workloads {
-		w := &cfg.Workloads[i]
-		s.byName[w.Name] = w
 	}
 	for _, c := range Classes {
 		s.counts[c] = &atomic.Int64{}
@@ -665,24 +665,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.respond(w, shed(class, "draining", s.cfg.DrainBudget))
 		return
 	}
-	if heap := s.heapBytes.Load(); heap > s.cfg.HeapWatermark {
+	if heap := s.heapBytes.Load(); heap > heapWatermark {
 		s.shedHeap.Add(1)
-		s.respond(w, shed(class, fmt.Sprintf("heap %d bytes above watermark %d", heap, s.cfg.HeapWatermark), time.Second))
+		s.respond(w, shed(class, fmt.Sprintf("heap %d bytes above watermark %d", heap, heapWatermark), time.Second))
 		return
 	}
 	// Estimate-driven admission (inert until the service-time
 	// estimators are warm): reject requests that cannot finish inside
-	// their own deadline, and push expensive classes off first when
-	// the queue grows past their weighted share.
+	// their own deadline.
 	budget := s.timeout(req)
-	switch s.over.admitGate(class, budget, len(s.queue), s.cfg.QueueDepth, s.cfg.Workers) {
-	case gateDeadline:
+	if s.over.missesDeadline(class, budget, len(s.queue), s.cfg.Workers) {
 		s.shedDeadline.Add(1)
 		s.respond(w, shed(class, fmt.Sprintf("predicted completion past the %s deadline (queue drain + class p90)", budget), s.retryAfter()))
-		return
-	case gateWeighted:
-		s.shedWeighted.Add(1)
-		s.respond(w, shed(class, fmt.Sprintf("class %q over its weighted queue share", class), s.retryAfter()))
 		return
 	}
 	br := s.breakers.Get(class)
@@ -748,8 +742,8 @@ type Status struct {
 	// Breakers snapshots every workload-class breaker.
 	Breakers map[string]BreakerStatus `json:"breakers"`
 	// Overload snapshots the adaptive overload controller (CoDel
-	// state, per-class service-time estimates and weights, the
-	// current drain-rate Retry-After base).
+	// state, per-class service-time estimates, the current drain-rate
+	// Retry-After base).
 	Overload OverloadStatus `json:"overload"`
 	// Cache is the engine result cache's hit/miss surface; Store
 	// breaks the backing artifact tiers down (nil when memory-only);
@@ -785,14 +779,13 @@ func (s *Server) StatusSnapshot() Status {
 		QueueCap:  s.cfg.QueueDepth,
 		InFlight:  s.inflightN.Load(),
 		HeapBytes: s.heapBytes.Load(),
-		HeapMark:  s.cfg.HeapWatermark,
+		HeapMark:  heapWatermark,
 		Classes:   map[ErrClass]int64{},
 		Shed: map[string]int64{
 			"queue_full":     s.shedFull.Load(),
 			"queue_age":      s.shedAge.Load(),
 			"queue_delay":    s.shedDelay.Load(),
 			"deadline":       s.shedDeadline.Load(),
-			"weighted":       s.shedWeighted.Load(),
 			"heap_watermark": s.shedHeap.Load(),
 			"breaker_open":   s.shedBrk.Load(),
 			"draining":       s.shedDrain.Load(),
