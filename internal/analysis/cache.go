@@ -5,10 +5,11 @@ import "repro/internal/ir"
 // Cache memoizes the function-level analyses behind a (function,
 // version) key, where the version is ir.Function.Version — the
 // mutation counter bumped by every structural edit and by MarkDirty at
-// in-place rewrite sites. The convergent formation loop recomputes
-// dominators, loops, and reverse postorder after every merge step even
-// though most steps change nothing (failed merges roll back to the
-// original function); with the cache those recomputations become
+// in-place rewrite sites. The convergent formation loop asks for
+// dominators, loops, reverse postorder and liveness after every merge
+// step even though most steps change nothing: a rejected merge attempt
+// runs in place but rolls the function back, version included
+// (ir.Function.Rollback). With the cache those requests become
 // pointer+integer comparisons.
 //
 // A Cache is single-goroutine state (one per Former / per worker); it

@@ -137,17 +137,7 @@ func ComputeLiveness(f *ir.Function) *Liveness {
 	var buf []ir.Reg
 	for _, b := range order {
 		ue, kill := take(), take()
-		for _, in := range b.Instrs {
-			buf = in.Uses(buf)
-			for _, r := range buf {
-				if !kill.Has(r) {
-					ue.Add(r)
-				}
-			}
-			if d := in.Def(); d.Valid() && !in.Predicated() {
-				kill.Add(d)
-			}
-		}
+		buf = summarize(b, ue, kill, buf)
 		ueS[b.ID], killS[b.ID] = ue, kill
 		inS[b.ID], outS[b.ID] = take(), take()
 	}
@@ -183,6 +173,23 @@ func ComputeLiveness(f *ir.Function) *Liveness {
 		lv.Kill[b] = killS[b.ID]
 	}
 	return lv
+}
+
+// summarize adds b's upward-exposed uses to ue and its unpredicated
+// definitions to kill, and returns the grown scratch buffer buf.
+func summarize(b *ir.Block, ue, kill RegSet, buf []ir.Reg) []ir.Reg {
+	for _, in := range b.Instrs {
+		buf = in.Uses(buf)
+		for _, r := range buf {
+			if !kill.Has(r) {
+				ue.Add(r)
+			}
+		}
+		if d := in.Def(); d.Valid() && !in.Predicated() {
+			kill.Add(d)
+		}
+	}
+	return buf
 }
 
 func unionInto(dst, src RegSet) bool {

@@ -4,11 +4,12 @@
 //
 // The algorithm grows each hyperblock incrementally: starting from a
 // seed basic block it repeatedly selects a successor (via a
-// pluggable block-selection policy), attempts the merge in scratch
-// space — if-converting the successor, optionally running scalar
+// pluggable block-selection policy), attempts the merge —
+// if-converting the successor, optionally running scalar
 // optimizations, normalizing outputs, and checking the TRIPS
 // structural constraints — and commits the merge only if the
-// resulting block is legal. Code duplication is applied as needed:
+// resulting block is legal; a rejected attempt is rolled back. Code
+// duplication is applied as needed:
 //
 //   - tail duplication removes side entrances to acyclic regions;
 //   - head duplication generalizes it to back edges, implementing
@@ -151,8 +152,8 @@ func (c Config) withDefaults() Config {
 
 // savedBody is a detached snapshot of a loop body used for
 // incremental unrolling: the block's instructions plus branch targets
-// recorded as stable block IDs (resolved against whatever function
-// clone the snapshot is materialized into).
+// recorded as stable block IDs (resolved against the working function
+// when the snapshot is materialized).
 type savedBody struct {
 	instrs  []*ir.Instr // detached clones; Br targets are nil
 	targets []int       // block ID per branch, in branch order

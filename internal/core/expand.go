@@ -31,6 +31,7 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 		return nil
 	}
 
+	fo.live = nil // a new hyperblock: rebuild the liveness solver
 	loops := fo.cache.Loops(fo.f)
 	ctx := &Context{F: fo.f, HB: hb, Prof: fo.cfg.Prof, Loops: loops, Cons: fo.cfg.Cons}
 	pol.Prepare(ctx)
@@ -100,18 +101,15 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 			continue
 		}
 
-		// Success: the working function was replaced; re-resolve
-		// everything by stable ID and refresh analyses.
+		// Success: hb grew in place. Refresh the loop forest and drop
+		// candidates the merge deleted.
 		merges++
-		hb = fo.f.BlockByID(seedID)
 		loops = fo.cache.Loops(fo.f)
-		ctx.F, ctx.HB, ctx.Loops = fo.f, hb, loops
-		// Stale candidate pointers refer to the previous clone:
-		// re-resolve, dropping blocks that no longer exist.
+		ctx.Loops = loops
 		fresh := candidates[:0]
 		for _, c := range candidates {
-			if nb := fo.f.BlockByID(c.ID); nb != nil {
-				fresh = append(fresh, nb)
+			if fo.f.BlockByID(c.ID) != nil {
+				fresh = append(fresh, c)
 			}
 		}
 		candidates = fresh
@@ -142,24 +140,24 @@ func FormFunction(f *ir.Function, cfg Config) (*ir.Function, Stats, error) {
 //
 // The seed scan is linear, not quadratic: a cursor into the current
 // RPO advances past consumed blocks and only rewinds when the working
-// function actually changed (pointer or mutation version), which is
-// exactly when the cached RPO is recomputed. The seed sequence is
-// identical to rescanning from index 0 every iteration — an unchanged
-// function has an unchanged RPO, and every block before the cursor is
-// already done. The done set is a dense bitmap indexed by block ID
-// (IDs are bounded by BlockIDBound and grow only when splits adopt
-// new blocks).
+// function's mutation version changed, which is exactly when the
+// cached RPO is recomputed. Only commits and splits change it: a
+// rolled-back merge attempt restores the version it started from.
+// The seed sequence is identical to rescanning from index 0 every
+// iteration — an unchanged function has an unchanged RPO, and every
+// block before the cursor is already done. The done set is a dense
+// bitmap indexed by block ID (IDs are bounded by BlockIDBound and
+// grow only when splits adopt new blocks).
 func formFunction(f *ir.Function, cfg Config, record bool) (*ir.Function, Stats, *FuncTrace, error) {
 	fo := NewFormer(f, cfg)
 	if record {
 		fo.rec = &traceRecorder{ft: &FuncTrace{Fingerprint: FingerprintFunction(f)}}
 	}
 	done := make([]bool, f.BlockIDBound())
-	cur := 0
-	curF, curV := fo.f, fo.f.Version()
+	cur, curV := 0, fo.f.Version()
 	for fo.checkpoint() == nil {
-		if fo.f != curF || fo.f.Version() != curV {
-			cur, curF, curV = 0, fo.f, fo.f.Version()
+		if v := fo.f.Version(); v != curV {
+			cur, curV = 0, v
 		}
 		rpo := fo.cache.RPO(fo.f)
 		seed := -1

@@ -60,6 +60,7 @@ func (fo *Former) SplitOversizeCandidate(s *ir.Block) *ir.Block {
 	s.Instrs = append(s.Instrs[:bestCut:bestCut], &ir.Instr{Op: ir.OpBr,
 		Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Pred: ir.NoReg, Target: nb})
 	fo.f.MarkDirty() // s.Instrs rewritten in place above
+	fo.live = nil    // the new block can change what reaches the seed
 	fo.stats.Splits++
 	return nb
 }
@@ -101,8 +102,14 @@ type Former struct {
 	pending map[int]map[int32]map[ir.Reg]ir.Reg
 	// cache memoizes RPO/dominators/loops/liveness against the working
 	// function's mutation version, so the convergence loop only
-	// recomputes analyses after a committed change.
+	// recomputes analyses after a committed change (a rolled-back
+	// attempt restores the version).
 	cache analysis.Cache
+	// live answers the merged block's liveness queries for the
+	// hyperblock being grown; nil until its first merge attempt.
+	live *analysis.BlockLiveness
+	// undo is the rollback state of the current merge attempt.
+	undo blockUndo
 	// rec, when non-nil, records every decision for skeleton replay.
 	rec *traceRecorder
 	// replay, when non-nil, is the committed-merge decision mergeExec
@@ -123,8 +130,8 @@ type Former struct {
 }
 
 // NewFormer creates a Former for f with the given configuration. The
-// function is taken over by the former; retrieve the (possibly
-// replaced) result with Result.
+// function is taken over by the former, which edits it in place;
+// Result returns it.
 func NewFormer(f *ir.Function, cfg Config) *Former {
 	return &Former{
 		cfg:     cfg.withDefaults(),
@@ -135,7 +142,7 @@ func NewFormer(f *ir.Function, cfg Config) *Former {
 	}
 }
 
-// Result returns the current working function.
+// Result returns the working function.
 func (fo *Former) Result() *ir.Function { return fo.f }
 
 // Err returns the first checkpoint (cancellation) error observed, or
@@ -187,15 +194,18 @@ func (fo *Former) LegalMerge(hb, s *ir.Block, loops *analysis.LoopForest) bool {
 }
 
 // MergeBlocks attempts to merge s into hb (the paper's MergeBlocks,
-// Figure 5). The merge is carried out on a scratch clone of the whole
-// function; if the optimized, normalized result satisfies the
-// structural constraints, the clone replaces the working function and
-// MergeBlocks returns true. On failure the working function is
-// untouched.
+// Figure 5). The attempt runs in place on the working function: before
+// the constraint check it changes only hb's instructions and the
+// function's register and branch-ID counters, so MergeBlocks snapshots
+// exactly those and a rejected attempt restores them, leaving the
+// function byte-identical — the paper's scratch space, without
+// copying the function. MergeBlocks returns true if the optimized,
+// normalized block satisfies the structural constraints and the merge
+// was committed.
 func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool {
 	fo.stats.Attempts++
 
-	// Classify the merge up front (on the real function).
+	// Classify the merge up front.
 	var kind mergeKind
 	switch {
 	case s == hb:
@@ -217,11 +227,10 @@ func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool 
 		}
 	}
 
-	// 1. Copy to scratch space. Steps 2–7 and the commit bookkeeping
-	// are shared with skeleton replay (which runs them in place on
-	// the working function, with the scratch verifier off).
-	fc, m := ir.CloneFunctionMap(fo.f)
-	if !fo.mergeExec(fc, m[hb], m[s], kind, true) {
+	// 1. Snapshot what the attempt may change.
+	fo.undo.save(fo.f, hb)
+	if !fo.mergeExec(hb, s, kind, true) {
+		fo.undo.restore(fo.f, hb)
 		return false
 	}
 	d := Decision{Kind: DecMerge, Cand: s.ID, Merge: kind.name()}
@@ -234,25 +243,67 @@ func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool 
 	return true
 }
 
-// mergeExec merges sC into hbC on fc and commits fc as the working
-// function on success. fc is either a scratch clone of the working
-// function (greedy: a failed attempt must leave it untouched) or the
-// working function itself (replay: the outcome is already known, and
-// the caller discards the function when the concrete constraints
-// disagree with the recorded decision). verify gates the per-merge
-// scratch IR check; replay relies on GuardFunction's final verify
-// instead.
-func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, verify bool) bool {
+// blockUndo is the rollback state of one in-place merge attempt: the
+// function's counters and the merged block's instructions. combine and
+// opt.OptimizeBlock rewrite instructions in place, so it keeps each
+// instruction's contents, argument lists included, not just the
+// pointers. The buffers are reused across attempts.
+type blockUndo struct {
+	mark ir.Mark
+	ptrs []*ir.Instr
+	vals []ir.Instr
+	args []ir.Reg
+}
+
+func (u *blockUndo) save(f *ir.Function, b *ir.Block) {
+	u.mark = f.Mark()
+	u.ptrs = append(u.ptrs[:0], b.Instrs...)
+	u.vals, u.args = u.vals[:0], u.args[:0]
+	for _, in := range b.Instrs {
+		u.vals = append(u.vals, *in)
+		u.args = append(u.args, in.Args...)
+	}
+}
+
+func (u *blockUndo) restore(f *ir.Function, b *ir.Block) {
+	args := u.args
+	for i, in := range u.ptrs {
+		*in = u.vals[i]
+		args = args[copy(in.Args, args):]
+	}
+	b.Instrs = append(b.Instrs[:0], u.ptrs...)
+	f.Rollback(u.mark)
+}
+
+// mergeExec merges s into hb on the working function and commits the
+// merge on success. Greedy formation (MergeBlocks) rolls a failed
+// attempt back; skeleton replay already knows the outcome, and the
+// caller discards the function when the concrete constraints disagree
+// with the recorded decision. verify gates the per-merge IR check;
+// replay relies on GuardFunction's final verify instead.
+func (fo *Former) mergeExec(hb, s *ir.Block, kind mergeKind, verify bool) bool {
+	f := fo.f
+	rd := fo.replay
+	if rd != nil && rd.Shape == nil {
+		rd = nil // trace predates per-merge liveness recording
+	}
+	if rd == nil && (fo.live == nil || fo.live.Seed() != hb) {
+		// Built from the committed function, before this attempt
+		// rewrites hb, and kept for the rest of the hyperblock
+		// (ExpandBlock and splits reset it).
+		fo.live = analysis.NewBlockLiveness(f, fo.cache.Liveness(f), hb)
+	}
+
 	// 2. Locate the branch being if-converted.
 	brIdx := -1
-	for i, in := range hbC.Instrs {
-		if in.Op == ir.OpBr && in.Target == sC {
+	for i, in := range hb.Instrs {
+		if in.Op == ir.OpBr && in.Target == s {
 			brIdx = i
 			break
 		}
 	}
 	if brIdx < 0 {
-		fo.record(Decision{Kind: DecReject, Cand: sC.ID, Merge: kind.name(), Reject: RejectBr})
+		fo.record(Decision{Kind: DecReject, Cand: s.ID, Merge: kind.name(), Reject: RejectBr})
 		return false
 	}
 
@@ -261,14 +312,14 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	switch kind {
 	case mergeUnroll:
 		var ok bool
-		body, ok = fo.saved[hbC.ID].materialize(fc)
+		body, ok = fo.saved[hb.ID].materialize(f)
 		if !ok {
 			fo.stats.Rejects++
-			fo.record(Decision{Kind: DecReject, Cand: sC.ID, Merge: kind.name(), Reject: RejectMat})
+			fo.record(Decision{Kind: DecReject, Cand: s.ID, Merge: kind.name(), Reject: RejectMat})
 			return false
 		}
 	default:
-		cl := sC.Clone(sC.Name + ".dup")
+		cl := s.Clone(s.Name + ".dup")
 		body = cl.Instrs
 	}
 
@@ -281,11 +332,11 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	// definitions were optimized away are dropped.
 	var initRename map[ir.Reg]ir.Reg
 	chainHit, chainMiss := false, false
-	br := hbC.Instrs[brIdx]
+	br := hb.Instrs[brIdx]
 	if br.BrID != 0 && !fo.cfg.NoChain {
-		if pr := fo.pending[hbC.ID][br.BrID]; pr != nil {
+		if pr := fo.pending[hb.ID][br.BrID]; pr != nil {
 			defined := map[ir.Reg]bool{}
-			for _, in := range hbC.Instrs {
+			for _, in := range hb.Instrs {
 				if d := in.Def(); d.Valid() {
 					defined[d] = true
 				}
@@ -303,40 +354,34 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 			chainMiss = true
 		}
 	}
-	brIDFloor := fc.NewBrID() // all IDs assigned by this combine exceed this
-	_, outRename := combine(fc, hbC, brIdx, body, initRename)
+	brIDFloor := f.NewBrID() // all IDs assigned by this combine exceed this
+	_, outRename := combine(f, hb, brIdx, body, initRename)
 
 	// 5. Optimize the merged block (when iterative optimization is
 	// enabled) and normalize its outputs. Both consume only the merged
-	// block's live-out set. Greedy computes it from whole-function
-	// liveness (cached against the mutation version, recomputing only
-	// when the intervening pass actually changed code); replay
-	// substitutes the sets recorded with the decision — the working
-	// function matches the recorded run's committed state instruction
-	// for instruction, so they are exactly what ComputeLiveness would
-	// return, and the three per-merge fixpoints disappear.
-	rd := fo.replay
-	if rd != nil && rd.Shape == nil {
-		rd = nil // trace predates per-merge liveness recording
-	}
-	var lv *analysis.Liveness
+	// block's live-out set. Greedy solves it block-locally (see
+	// analysis.BlockLiveness: exactly what ComputeLiveness would
+	// return, from one whole-function fixpoint per hyperblock);
+	// replay substitutes the sets recorded with the decision — the
+	// working function matches the recorded run's committed state
+	// instruction for instruction, so they are exact too.
 	var out1 analysis.RegSet
 	if rd != nil {
-		out1 = regSetFrom(fc.NumRegs(), rd.Out1)
+		out1 = regSetFrom(f.NumRegs(), rd.Out1)
 	} else {
-		lv = fo.cache.Liveness(fc)
-		out1 = lv.Out[hbC]
+		out1, _ = fo.solveLive(hb)
 	}
 	out2 := out1
 	if fo.cfg.IterOpt {
-		opt.OptimizeBlock(fc, hbC, out1)
+		opt.OptimizeBlock(f, hb, out1)
 		if rd != nil {
-			out2 = regSetFrom(fc.NumRegs(), rd.Out2)
+			out2 = regSetFrom(f.NumRegs(), rd.Out2)
 		} else {
-			lv = fo.cache.Liveness(fc)
-			out2 = lv.Out[hbC]
+			out2, _ = fo.solveLive(hb)
 		}
 	}
+	trips.NormalizeOutputs(hb, &analysis.Liveness{
+		Out: map[*ir.Block]analysis.RegSet{hb: out2}})
 
 	// 6. Constraint check: reject the merge if the block no longer
 	// fits. The measured shape is recorded (on merges and rejects
@@ -344,17 +389,16 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	// against other capacity limits without redoing the measurement.
 	var shape trips.BlockStats
 	if rd != nil {
-		trips.NormalizeOutputs(hbC, &analysis.Liveness{
-			Out: map[*ir.Block]analysis.RegSet{hbC: out2}})
 		shape = *rd.Shape
 	} else {
-		trips.NormalizeOutputs(hbC, lv)
-		lv = fo.cache.Liveness(fc)
-		shape = trips.MeasureWithFanout(hbC, lv, fo.cfg.Cons)
+		out3, ue := fo.solveLive(hb)
+		shape = trips.MeasureWithFanout(hb, &analysis.Liveness{
+			Out:   map[*ir.Block]analysis.RegSet{hb: out3},
+			UEVar: map[*ir.Block]analysis.RegSet{hb: ue}}, fo.cfg.Cons)
 	}
 	if err := fo.cfg.Cons.Check(shape); err != nil {
 		fo.stats.Rejects++
-		fo.record(Decision{Kind: DecReject, Cand: sC.ID, Merge: kind.name(),
+		fo.record(Decision{Kind: DecReject, Cand: s.ID, Merge: kind.name(),
 			Reject: RejectCons, Shape: &shape, ChainHit: chainHit, ChainMiss: chainMiss})
 		return false
 	}
@@ -364,21 +408,19 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 		fo.lastMerge.shape = shape
 	}
 
-	// 7. Transform the CFG (scratch side, then commit).
+	// 7. Commit: transform the CFG.
 	if kind == mergePlain {
-		fc.RemoveBlock(sC)
+		f.RemoveBlock(s)
 	}
-	fc.RemoveUnreachable()
+	f.RemoveUnreachable()
 	if verify {
-		if err := ir.Verify(fc); err != nil {
-			// A malformed scratch function indicates a bug; reject the
-			// merge rather than corrupting the working function.
-			panic(fmt.Sprintf("core: scratch merge produced invalid IR: %v", err))
+		if err := ir.Verify(f); err != nil {
+			// A malformed merge indicates a bug; fail loudly
+			// (GuardFunction rolls the function back) rather than
+			// carry on with corrupt IR.
+			panic(fmt.Sprintf("core: merge produced invalid IR: %v", err))
 		}
 	}
-
-	// Commit.
-	fo.f = fc
 	fo.stats.Merges++
 	switch kind {
 	case mergeTail:
@@ -387,19 +429,19 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 		fo.stats.Peels++
 	case mergeUnroll:
 		fo.stats.Unrolls++
-		fo.unrolls[hbC.ID]++
+		fo.unrolls[hb.ID]++
 	}
 
 	// Record this layer's speculative renames under every surviving
 	// branch this merge appended (identified by fresh BrIDs): such a
 	// branch fires only when this layer's merge predicate held.
 	if len(outRename) > 0 {
-		byBr := fo.pending[hbC.ID]
+		byBr := fo.pending[hb.ID]
 		if byBr == nil {
 			byBr = map[int32]map[ir.Reg]ir.Reg{}
-			fo.pending[hbC.ID] = byBr
+			fo.pending[hb.ID] = byBr
 		}
-		for _, in := range hbC.Instrs {
+		for _, in := range hb.Instrs {
 			if in.Op == ir.OpBr && in.BrID > brIDFloor {
 				byBr[in.BrID] = outRename
 			}
@@ -407,9 +449,22 @@ func (fo *Former) mergeExec(fc *ir.Function, hbC, sC *ir.Block, kind mergeKind, 
 	}
 	// The converted branch is gone; drop its entry.
 	if br.BrID != 0 {
-		delete(fo.pending[hbC.ID], br.BrID)
+		delete(fo.pending[hb.ID], br.BrID)
 	}
 	return true
+}
+
+// testHookLiveness, when a test sets it, sees every block-local
+// liveness answer greedy formation uses.
+var testHookLiveness func(f *ir.Function, hb *ir.Block, out, ue analysis.RegSet)
+
+// solveLive answers a liveness query for the hyperblock being grown.
+func (fo *Former) solveLive(hb *ir.Block) (out, ue analysis.RegSet) {
+	out, ue = fo.live.Solve()
+	if testHookLiveness != nil {
+		testHookLiveness(fo.f, hb, out, ue)
+	}
+	return out, ue
 }
 
 // regSetFrom rebuilds a RegSet from a recorded member list. Sized to

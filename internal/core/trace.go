@@ -23,23 +23,21 @@ import (
 // What makes replay cheap:
 //   - rejected merge attempts are not re-executed: the recorded block
 //     shape is re-checked against the concrete constraints (a few
-//     integer compares) instead of re-running clone + if-convert +
-//     liveness + measure;
-//   - accepted merges run in place on the working clone instead of on
-//     a scratch clone (greedy needs scratch because an attempt may
-//     fail; replay already knows the outcome, and if the concrete
-//     constraints reject it after all, the corrupted clone is
-//     discarded and greedy runs from the pristine snapshot);
-//   - whole-function liveness is never recomputed: each committed
-//     merge carries the merged block's recorded live-out sets and
-//     final measured shape. Replay reproduces the recorded run's
-//     committed states instruction for instruction, so the recorded
-//     sets are exactly what ComputeLiveness would return — and the
-//     three per-merge liveness fixpoints are the dominant cost of the
-//     greedy inner loop;
+//     integer compares) instead of re-running if-convert + liveness +
+//     measure;
+//   - accepted merges need no rollback snapshot (greedy needs one
+//     because an attempt may fail; replay already knows the outcome,
+//     and if the concrete constraints reject it after all, the
+//     corrupted clone is discarded and greedy runs from the pristine
+//     snapshot);
+//   - liveness is never solved: each committed merge carries the
+//     merged block's recorded live-out sets and final measured shape.
+//     Replay reproduces the recorded run's committed states
+//     instruction for instruction, so the recorded sets are exactly
+//     what ComputeLiveness would return;
 //   - no candidate worklists, policy calls, loop forests, or RPO
 //     rescans: the decision list is the worklist;
-//   - the per-merge scratch IR verifier is skipped (replay output is
+//   - the per-merge IR verifier is skipped (replay output is
 //     still verified once by GuardFunction, like any formed function).
 
 // Decision kinds (Decision.Kind).
@@ -53,7 +51,7 @@ const (
 const (
 	RejectCons = "cons" // structural constraint check failed
 	RejectMat  = "mat"  // unroll snapshot no longer materializes
-	RejectBr   = "br"   // converted branch not found in scratch clone
+	RejectBr   = "br"   // converted branch not found in the hyperblock
 )
 
 // Merge kind names (Decision.Merge), matching mergeKind.
@@ -457,11 +455,10 @@ func (fo *Former) replayMerge(hb, s *ir.Block, kind mergeKind, d *Decision) bool
 			fo.saved[hb.ID] = snapshotBody(hb)
 		}
 	}
-	// In place: the working function is the scratch function. On
-	// success mergeExec's commit is a no-op reassignment; on failure
-	// the function is corrupt and the caller discards it.
+	// No rollback: on failure the function is corrupt and the caller
+	// discards it.
 	fo.replay = d
-	ok := fo.mergeExec(fo.f, hb, s, kind, false)
+	ok := fo.mergeExec(hb, s, kind, false)
 	fo.replay = nil
 	return ok
 }

@@ -77,12 +77,26 @@ func TestTraceReplayDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var tr2 ProgramTrace
+			var tr2, legacy ProgramTrace
 			if err := json.Unmarshal(raw, &tr2); err != nil {
 				t.Fatal(err)
 			}
+			// Merges recorded before decisions carried their live-out
+			// sets and shape replay through greedy's liveness solver.
+			if err := json.Unmarshal(raw, &legacy); err != nil {
+				t.Fatal(err)
+			}
+			for _, ft := range legacy.Funcs {
+				for i := range ft.Seeds {
+					for j := range ft.Seeds[i].Decisions {
+						if d := &ft.Seeds[i].Decisions[j]; d.Kind == DecMerge {
+							d.Shape, d.Out1, d.Out2 = nil, nil, nil
+						}
+					}
+				}
+			}
 
-			for round, trace := range []*ProgramTrace{tr, &tr2} {
+			for round, trace := range []*ProgramTrace{tr, &tr2, &legacy} {
 				rep := ir.CloneProgram(base)
 				pst, pdeg, rs, err := ReplayProgram(rep, cfg, nil, trace)
 				if err != nil {

@@ -101,7 +101,7 @@ func (b *Block) Terminated() bool {
 // Function.Version). Unattached clone blocks (nil Fn) skip it.
 func (b *Block) dirty() {
 	if b.Fn != nil {
-		b.Fn.version++
+		b.Fn.touch()
 	}
 }
 

@@ -4,25 +4,15 @@ package ir
 // are fresh, branch targets are remapped onto the copied blocks, and
 // register numbering is preserved. The clone is not added to any
 // program.
-func CloneFunction(f *Function) *Function {
-	nf, _ := CloneFunctionMap(f)
-	return nf
-}
-
-// CloneFunctionMap is CloneFunction, additionally returning the
-// old-block -> new-block mapping.
 //
 // The copy is arena-backed: all cloned blocks, instructions, and
 // argument slices live in a handful of flat allocations sized in one
 // counting pass, so cloning costs O(1) allocations instead of one per
-// instruction. The formation loop clones the current function once per
-// merge attempt, which made per-instruction allocation the single
-// largest source of garbage in the pipeline. Argument subslices are
-// capped (three-index slices), so a later append on a cloned
-// instruction reallocates instead of scribbling over its arena
-// neighbour; instruction pointers are stable because the arenas are
-// never grown.
-func CloneFunctionMap(f *Function) (*Function, map[*Block]*Block) {
+// instruction. Argument subslices are capped (three-index slices), so
+// a later append on a cloned instruction reallocates instead of
+// scribbling over its arena neighbour; instruction pointers are stable
+// because the arenas are never grown.
+func CloneFunction(f *Function) *Function {
 	nf := &Function{
 		Name:      f.Name,
 		Params:    append([]Reg(nil), f.Params...),
@@ -30,6 +20,7 @@ func CloneFunctionMap(f *Function) (*Function, map[*Block]*Block) {
 		nextBlock: f.nextBlock,
 		nextBrID:  f.nextBrID,
 		version:   f.version,
+		issued:    f.issued,
 		Prog:      f.Prog,
 	}
 	nInstr, nArgs := 0, 0
@@ -71,7 +62,7 @@ func CloneFunctionMap(f *Function) (*Function, map[*Block]*Block) {
 	for _, nb := range nf.Blocks {
 		RemapTargets(nb, m)
 	}
-	return nf, m
+	return nf
 }
 
 // RemapTargets rewrites every branch in b whose target appears in m to

@@ -174,3 +174,32 @@ func TestProgramSizeCounters(t *testing.T) {
 		t.Fatalf("Size=%d NumBlocks=%d", p.Size(), p.NumBlocks())
 	}
 }
+
+// Rollback returns the counters and the version to the mark, and a
+// later bump never reissues a version handed out before the rollback.
+func TestRollbackNeverReusesAVersion(t *testing.T) {
+	f := NewFunction("f", 1)
+	f.NewBlock("entry")
+	m := f.Mark()
+	v0, regs, brID := f.Version(), f.NumRegs(), CloneFunction(f).NewBrID()
+	f.NewReg()
+	f.NewBrID()
+	seen := f.Version()
+	f.Rollback(m)
+	if f.Version() != v0 || f.NumRegs() != regs || CloneFunction(f).NewBrID() != brID {
+		t.Fatalf("after Rollback: version %d regs %d next BrID %d, want %d %d %d",
+			f.Version(), f.NumRegs(), CloneFunction(f).NewBrID(), v0, regs, brID)
+	}
+	if f.MarkDirty(); f.Version() == seen || f.Version() == v0 {
+		t.Fatalf("bump after Rollback reissued version %d", f.Version())
+	}
+
+	m = f.Mark()
+	f.NewBlock("added")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rollback accepted a trial edit that added a block")
+		}
+	}()
+	f.Rollback(m)
+}

@@ -17,8 +17,11 @@ type Function struct {
 
 	// version counts code mutations (see Version). Structural edits
 	// through Function/Block methods bump it automatically; passes that
-	// rewrite instructions in place must call MarkDirty.
+	// rewrite instructions in place must call MarkDirty. issued is the
+	// highest version ever handed out: Rollback moves version back, so
+	// bumps draw from issued to never reuse a version.
 	version uint64
+	issued  uint64
 
 	// Prog is the owning program (set by Program.AddFunc).
 	Prog *Program
@@ -30,13 +33,51 @@ type Function struct {
 // in-place instruction rewrite advances it (the latter via MarkDirty
 // at the mutation site). Spurious bumps only cost a recomputation;
 // a missed bump would serve stale analyses, so mutators err toward
-// bumping.
+// bumping. Rollback is the one way back: it returns to a marked
+// version once the code is again what it was at that version.
 func (f *Function) Version() uint64 { return f.version }
 
 // MarkDirty records an in-place code mutation that did not go through
 // a Function/Block editing method (e.g. operand rewriting inside an
 // optimization pass), invalidating cached analyses.
-func (f *Function) MarkDirty() { f.version++ }
+func (f *Function) MarkDirty() { f.touch() }
+
+// touch advances the mutation version to one never used before.
+func (f *Function) touch() {
+	f.issued++
+	f.version = f.issued
+}
+
+// Mark is a saved position of a function's register and branch-ID
+// counters and its mutation version, plus its block count for
+// Rollback's check (see Function.Mark).
+type Mark struct {
+	nextReg   Reg
+	nextBrID  int32
+	nextBlock int
+	nblocks   int
+	version   uint64
+}
+
+// Mark saves the function's counters and version before a trial edit
+// that Rollback may undo.
+func (f *Function) Mark() Mark {
+	return Mark{nextReg: f.nextReg, nextBrID: f.nextBrID,
+		nextBlock: f.nextBlock, nblocks: len(f.Blocks), version: f.version}
+}
+
+// Rollback restores the counters and version saved by m. The caller
+// must already have restored every instruction the trial edit changed,
+// and the edit must not have added or removed blocks (Rollback panics
+// if it did): the function is then identical to its state at m, so
+// analyses cached against that version are valid again. Versions
+// handed out during the trial are never reused.
+func (f *Function) Rollback(m Mark) {
+	if f.nextBlock != m.nextBlock || len(f.Blocks) != m.nblocks {
+		panic("ir: Rollback after a trial edit added or removed blocks")
+	}
+	f.nextReg, f.nextBrID, f.version = m.nextReg, m.nextBrID, m.version
+}
 
 // BlockIDBound returns an exclusive upper bound on the block IDs in
 // use, for ID-indexed side tables.
@@ -56,7 +97,7 @@ func NewFunction(name string, nparams int) *Function {
 func (f *Function) NewReg() Reg {
 	r := f.nextReg
 	f.nextReg++
-	f.version++ // register count sizes liveness sets
+	f.touch() // register count sizes liveness sets
 	return r
 }
 
@@ -75,7 +116,7 @@ func (f *Function) NewBrID() int32 {
 func (f *Function) NewBlock(name string) *Block {
 	b := &Block{ID: f.nextBlock, Name: name, Fn: f}
 	f.nextBlock++
-	f.version++
+	f.touch()
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
@@ -85,7 +126,7 @@ func (f *Function) NewBlock(name string) *Block {
 func (f *Function) AdoptBlock(b *Block) {
 	b.ID = f.nextBlock
 	f.nextBlock++
-	f.version++
+	f.touch()
 	b.Fn = f
 	f.Blocks = append(f.Blocks, b)
 }
@@ -109,7 +150,7 @@ func (f *Function) RemoveBlock(b *Block) {
 			}
 			copy(f.Blocks[i:], f.Blocks[i+1:])
 			f.Blocks = f.Blocks[:len(f.Blocks)-1]
-			f.version++
+			f.touch()
 			return
 		}
 	}
@@ -207,7 +248,7 @@ func (f *Function) RemoveUnreachable() int {
 	}
 	f.Blocks = kept
 	if removed > 0 {
-		f.version++
+		f.touch()
 	}
 	return removed
 }

@@ -55,6 +55,18 @@ func (v *VLIW) Prepare(ctx *core.Context) {
 	}
 	v.admitted = map[int]int{}
 
+	// Paths share blocks, and enumeration never mutates them, so each
+	// block's dependence height is computed once per prepass.
+	heights := map[*ir.Block]int{}
+	height := func(b *ir.Block) int {
+		h, ok := heights[b]
+		if !ok {
+			h = depHeight(b)
+			heights[b] = h
+		}
+		return h
+	}
+
 	var paths []*vliwPath
 	var walk func(b *ir.Block, cur []*ir.Block, freq float64)
 	seen := map[*ir.Block]bool{}
@@ -80,7 +92,7 @@ func (v *VLIW) Prepare(ctx *core.Context) {
 		if len(nexts) == 0 {
 			p := &vliwPath{blocks: append([]*ir.Block(nil), cur...), freq: freq}
 			for _, pb := range p.blocks {
-				p.height += depHeight(pb)
+				p.height += height(pb)
 				p.size += len(pb.Instrs)
 			}
 			paths = append(paths, p)
