@@ -3,8 +3,7 @@
 //
 //	hbserved [-addr 127.0.0.1:8080] [-addr-file FILE]
 //	         [-workers 0] [-queue 64]
-//	         [-timeout 10s] [-max-timeout 60s] [-max-queue-age 5s]
-//	         [-target-queue-delay 0] [-retry-jitter-seed 0]
+//	         [-timeout 10s] [-max-timeout 60s] [-retry-jitter-seed 0]
 //	         [-drain 10s] [-cache-dir DIR] [-scrub]
 //	         [-shard-id ID] [-peers URL,URL,...]
 //	         [-replicas 1] [-antientropy-interval 0]
@@ -82,10 +81,8 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	workers := flag.Int("workers", 0, "concurrent jobs (0: GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth")
-	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
+	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline (a request queued for over half its deadline is shed)")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on client-supplied deadlines")
-	maxQueueAge := flag.Duration("max-queue-age", 5*time.Second, "shed requests queued longer than this (hard backstop)")
-	targetQueueDelay := flag.Duration("target-queue-delay", 0, "overload controller's target queue sojourn (0: max-queue-age/4)")
 	retryJitterSeed := flag.Uint64("retry-jitter-seed", 0, "seed for shed Retry-After jitter (0: unseeded; set for replayable tests)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain budget for in-flight requests")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to this directory")
@@ -251,20 +248,18 @@ func main() {
 		Chaos:   plan,
 	})
 	srv, err := server.New(server.Config{
-		Engine:           eng,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		MaxQueueAge:      *maxQueueAge,
-		TargetQueueDelay: *targetQueueDelay,
-		RetryJitterSeed:  *retryJitterSeed,
-		DrainBudget:      *drain,
-		ShardID:          *shardID,
-		ArtifactStore:    local,
-		Sweeper:          sweeper,
-		Cluster:          node,
-		InjectedFaults:   faultStats(injector),
+		Engine:          eng,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTimeout,
+		RetryJitterSeed: *retryJitterSeed,
+		DrainBudget:     *drain,
+		ShardID:         *shardID,
+		ArtifactStore:   local,
+		Sweeper:         sweeper,
+		Cluster:         node,
+		InjectedFaults:  faultStats(injector),
 	})
 	fail(err)
 

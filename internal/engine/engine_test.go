@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/policy"
 	"repro/internal/sim/timing"
@@ -40,66 +41,118 @@ func testJob(t testing.TB, name string, ord compiler.Ordering, sim engine.SimKin
 	}
 }
 
+// keyAllowlist names, by field path, the exported Job fields that are
+// not content: display labels, the timeout, the custom body (which
+// makes a job uncacheable) and compile hooks that never change a
+// completed compile's output.
+var keyAllowlist = map[string]bool{
+	"Workload": true, "Config": true, "Timeout": true, "Fn": true,
+	"Opts.RecordFormTrace": true, "Opts.FormTrace": true, "Opts.Checkpoint": true,
+}
+
+// perturb changes v, a settable non-struct field, to another value of
+// its type; pointers are assumed nil and become non-nil. It reports
+// false for a kind it cannot change.
+func perturb(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, v.Type().NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(v.Type().Out(i))
+			}
+			return out
+		}))
+	case reflect.Interface:
+		if v.Type() != reflect.TypeOf((*core.Policy)(nil)).Elem() {
+			return false
+		}
+		v.Set(reflect.ValueOf(policy.DepthFirst{}))
+	default:
+		return false
+	}
+	return true
+}
+
+// TestKeyStability: Key is deterministic, and every exported field of
+// engine.Job, compiler.Options (with its nested structs) and
+// timing.Config either changes it or sits on keyAllowlist. A field
+// added without reaching keyPayload fails here, before a replicated
+// store can serve stale artifacts under the old key.
 func TestKeyStability(t *testing.T) {
 	base := testJob(t, "vadd", compiler.OrderIUPO1, engine.SimTiming)
+	// Spell the defaults out so that no perturbation lands on a value
+	// canonicalization would erase.
+	base.Entry = "main"
+	base.Opts = base.Opts.Canonical()
+	base.SimConfig = timing.DefaultConfig()
 	k1, err := engine.Key(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := engine.Key(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
+	if k2, _ := engine.Key(base); k1 != k2 {
 		t.Fatalf("same job hashed differently: %s vs %s", k1, k2)
 	}
-
-	// Labels and timeouts are display/scheduling concerns, not
-	// content: they must not change the key.
-	relabeled := base
-	relabeled.Workload, relabeled.Config = "other", "other"
-	relabeled.Timeout = time.Minute
-	if k, _ := engine.Key(relabeled); k != k1 {
-		t.Error("labels/timeout changed the key")
-	}
-
-	// Default canonicalization: explicitly spelling out the defaults
-	// hashes the same as leaving them zero.
-	canon := base
-	canon.Opts = canon.Opts.Canonical()
-	canon.Entry = "main"
-	if k, _ := engine.Key(canon); k != k1 {
+	if k, _ := engine.Key(testJob(t, "vadd", compiler.OrderIUPO1, engine.SimTiming)); k != k1 {
 		t.Error("canonicalized defaults changed the key")
 	}
 
-	// Every content dimension must change the key.
-	variants := map[string]func(j *engine.Job){
-		"source":       func(j *engine.Job) { j.Source += "\n" },
-		"ordering":     func(j *engine.Job) { j.Opts.Ordering = compiler.OrderUPIO },
-		"policy":       func(j *engine.Job) { j.Opts.Policy = policy.DepthFirst{} },
-		"policy-opts":  func(j *engine.Job) { j.Opts.Policy = &policy.VLIW{MaxPaths: 7} },
-		"front-unroll": func(j *engine.Job) { j.Opts.FrontUnroll = 2 },
-		"unroll-peel":  func(j *engine.Job) { j.Opts.UnrollPeel.MaxPeel = 1 },
-		"regalloc":     func(j *engine.Job) { j.Opts.RegAlloc = true },
-		"core-tweaks":  func(j *engine.Job) { j.Opts.CoreTweaks.NoHeadDup = true },
-		"profile-args": func(j *engine.Job) { j.Opts.ProfileArgs = []int64{999} },
-		"sim-kind":     func(j *engine.Job) { j.Sim = engine.SimFunctional },
-		"sim-config":   func(j *engine.Job) { j.SimConfig = timing.DefaultConfig(); j.SimConfig.FetchCycles = 1 },
-		"entry":        func(j *engine.Job) { j.Entry = "helper" },
-		"args":         func(j *engine.Job) { j.Args = []int64{1, 2, 3} },
-	}
 	seen := map[string]string{k1: "base"}
-	for name, mutate := range variants {
-		j := base
-		mutate(&j)
-		k, err := engine.Key(j)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	visited := map[string]bool{}
+	var walk func(typ reflect.Type, prefix string, index []int)
+	walk = func(typ reflect.Type, prefix string, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			path, idx := prefix+f.Name, append(index[:len(index):len(index)], i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, path+".", idx)
+				continue
+			}
+			visited[path] = true
+			j := base
+			if !perturb(reflect.ValueOf(&j).Elem().FieldByIndex(idx)) {
+				t.Errorf("%s: cannot perturb a %s; teach perturb its kind", path, f.Type)
+				continue
+			}
+			k, err := engine.Key(j)
+			switch {
+			case keyAllowlist[path]:
+				if err == nil && k != k1 {
+					t.Errorf("%s is allowlisted as non-content but changes the key", path)
+				}
+			case err != nil:
+				t.Errorf("%s: %v", path, err)
+			case k == k1:
+				t.Errorf("%s does not reach engine.Key; hash it or allowlist it", path)
+			case seen[k] != "":
+				t.Errorf("%s collides with %s", path, seen[k])
+			default:
+				seen[k] = path
+			}
 		}
-		if prev, dup := seen[k]; dup {
-			t.Errorf("variant %q collides with %q", name, prev)
+	}
+	walk(reflect.TypeOf(base), "", nil)
+	for _, deep := range []string{"Opts.RegAllocOpts.Cons.FanoutFactor", "Opts.CoreTweaks.SplitOversize", "SimConfig.WatchdogGap"} {
+		if !visited[deep] {
+			t.Errorf("the walk never reached %s", deep)
 		}
-		seen[k] = name
 	}
 
 	// VLIW policies with different tuning must hash differently even

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -449,5 +450,36 @@ func TestClusterViewChangeMidBurst(t *testing.T) {
 	}
 	if st := f.StatusSnapshot(); st.ViewApplies != 1 {
 		t.Fatalf("view_applies = %d, want 1", st.ViewApplies)
+	}
+}
+
+// TestClusterForwardsBodyVerbatim: the front hands the shard the bytes
+// the client sent. A body within MaxRequestBytes that JSON re-encoding
+// would grow past it (json.Marshal writes each '<' as six bytes) must
+// be accepted at the front and at the shard alike.
+func TestClusterForwardsBodyVerbatim(t *testing.T) {
+	shards := newCluster(t, 1)
+	f, err := New(Config{Shards: clusterURLs(shards), HedgeAfter: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Drain()
+
+	req := testRequest()
+	req.Source += "\n// " + strings.Repeat("<", 300<<10) + "\n"
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	if escaped, _ := json.Marshal(req); body.Len() >= server.MaxRequestBytes || len(escaped) <= server.MaxRequestBytes {
+		t.Fatalf("body %d bytes, escaped %d; want them either side of %d", body.Len(), len(escaped), server.MaxRequestBytes)
+	}
+	w := httptest.NewRecorder()
+	f.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", &body))
+	var resp server.Response
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Class != server.ClassOK {
+		t.Fatalf("class %s (%s), want ok; status %d, decode error %v", resp.Class, resp.Error, w.Code, err)
 	}
 }

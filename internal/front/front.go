@@ -11,14 +11,15 @@
 //     remaps the keys that ranked it first.
 //
 //   - Hedged retries: the primary gets a budget derived from its own
-//     recent latency distribution (its p95, clamped); past the budget
-//     the same request is issued to the second-ranked shard and the
-//     first response wins — the loser is canceled through its
-//     context. A transport failure fails over to the second choice
-//     immediately. Per-shard circuit breakers (the same state machine
-//     the server uses per workload class) stop the front from
-//     hammering a dead shard, and shard failures map into the
-//     server's ErrClass taxonomy.
+//     recent latency distribution (its p95, clamped); past the budget,
+//     if the primary is still the only try, the same request is
+//     issued once to the next-ranked shard and the first response
+//     wins — the loser is canceled through its context. A shed or a
+//     transport failure launches the next-ranked shard immediately,
+//     down the whole rank order. Per-shard circuit breakers (the same
+//     state machine the server uses per workload class) stop the
+//     front from hammering a dead shard, and shard failures map into
+//     the server's ErrClass taxonomy.
 //
 //   - Single-flight: identical concurrent requests coalesce on the
 //     front by cache key and deadline before any shard is touched, so
@@ -354,10 +355,8 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.requests.Add(1)
-	var req server.Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, body, err := server.DecodeRequest(w, r)
+	if err != nil {
 		f.respond(w, synthesize(server.ClassInvalidInput,
 			fmt.Sprintf("front: invalid input: bad JSON: %v", err), 0))
 		return
@@ -374,7 +373,6 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	timeout := f.timeout(req)
-	body, _ := json.Marshal(req)
 
 	// Admission: the lock spans the draining check, the flight
 	// join/create, and the in-flight increment, so Drain can never
@@ -464,16 +462,18 @@ func (f *Front) nextAllowed(set *shardSet, order []string, i int, now time.Time)
 	return nil, i, maxRetry
 }
 
-// hedgedDo routes one request: primary by rendezvous rank, hedge to
-// the next healthy choice after the latency budget (or instantly on a
-// transport failure), first HTTP response wins, loser canceled.
+// hedgedDo routes one request: primary by rendezvous rank, then the
+// next allowed shard in rank order on every shed or transport failure,
+// so a request reaches every ranked shard before the front gives up.
+// If the primary is still the only try when the latency budget passes,
+// one hedge goes to the next shard. The first non-shed HTTP response
+// wins and cancels the other tries.
 func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []byte) upstream {
 	order, moved := set.deprioritizeSuspects(store.Rank(key, set.urls))
 	if moved {
 		f.suspectDepri.Add(1)
 	}
-	now := time.Now()
-	primary, next, brkRetry := f.nextAllowed(set, order, 0, now)
+	primary, next, brkRetry := f.nextAllowed(set, order, 0, time.Now())
 	if primary == nil {
 		if brkRetry <= 0 {
 			brkRetry = f.cfg.Breaker.Backoff
@@ -484,26 +484,29 @@ func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []
 
 	tryCtx, cancelTries := context.WithCancel(ctx)
 	defer cancelTries()
-	resc := make(chan upstream, 2)
+	// One slot per shard: each is tried at most once, so no try blocks
+	// on its send after hedgedDo returns.
+	resc := make(chan upstream, len(order))
 	launch := func(s *shard, hedged bool) {
 		go func() { resc <- f.tryShard(tryCtx, s, body, hedged) }()
 	}
 	launch(primary, false)
 	outstanding := 1
-	hedged := false
 
-	budget := primary.hedgeBudget(f.cfg)
-	timer := time.NewTimer(budget)
+	timer := time.NewTimer(primary.hedgeBudget(f.cfg))
 	defer timer.Stop()
 
-	hedge := func(reason *atomic.Int64) {
-		if hedged {
-			return
-		}
-		if s, _, _ := f.nextAllowed(set, order, next, time.Now()); s != nil {
+	// launchNext tries the next allowed shard in rank order, counting
+	// the launch under reason. Once any try beyond the primary is out,
+	// the timer hedge stands down, so it never adds a try on top of a
+	// shed walk or a failover.
+	walked := false
+	launchNext := func(reason *atomic.Int64) {
+		var s *shard
+		if s, next, _ = f.nextAllowed(set, order, next, time.Now()); s != nil {
 			reason.Add(1)
-			hedged = true
 			outstanding++
+			walked = true
 			launch(s, true)
 		}
 	}
@@ -513,50 +516,43 @@ func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []
 	// verbatim: the client hears the most pessimistic shard's real
 	// drain estimate, not a front-synthesized constant.
 	var bestShed *upstream
-	allShedding := func() upstream {
-		f.allShed.Add(1)
-		return *bestShed
-	}
 
-	var lastErr upstream
 	for {
 		select {
 		case u := <-resc:
 			outstanding--
-			if u.err == nil && u.class == server.ClassShed {
+			if u.err == nil && u.class != server.ClassShed {
+				if u.hedged {
+					f.hedgeWins.Add(1)
+				}
+				return u
+			}
+			if u.err == nil {
 				// Backpressure is per-shard, not per-cluster: walk to
 				// the next-ranked shard before relaying a 429.
 				if bestShed == nil || u.retryAfterMS > bestShed.retryAfterMS {
 					c := u
 					bestShed = &c
 				}
-				hedge(&f.shedNexts)
-				if outstanding == 0 {
-					return allShedding()
-				}
+				launchNext(&f.shedNexts)
+			} else {
+				launchNext(&f.failovers)
+			}
+			if outstanding > 0 {
 				continue
 			}
-			if u.err == nil {
-				if u.hedged {
-					f.hedgeWins.Add(1)
-				}
-				return u
+			if bestShed != nil {
+				// Every try either shed or died; the shed's advice is
+				// more useful to the client than "internal".
+				f.allShed.Add(1)
+				return *bestShed
 			}
-			lastErr = u
-			// Transport failure: fail over immediately if a second
-			// choice exists and none is already in flight.
-			hedge(&f.failovers)
-			if outstanding == 0 {
-				if bestShed != nil {
-					// Every try either shed or died; the shed's advice
-					// is more useful to the client than "internal".
-					return allShedding()
-				}
-				return synthesize(server.ClassInternal,
-					fmt.Sprintf("front: all shard attempts failed: %v", lastErr.err), 0)
-			}
+			return synthesize(server.ClassInternal,
+				fmt.Sprintf("front: all shard attempts failed: %v", u.err), 0)
 		case <-timer.C:
-			hedge(&f.hedges)
+			if !walked {
+				launchNext(&f.hedges)
+			}
 		case <-ctx.Done():
 			return synthesize(server.ClassTimeout,
 				"front: request deadline expired while routing", 0)

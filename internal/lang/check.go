@@ -6,11 +6,18 @@ import "fmt"
 // appends x to the program's observable output stream.
 const PrintBuiltin = "print"
 
+// MaxArrayWords bounds the total size, in words, of a program's
+// arrays. The simulators allocate every array up front, so without a
+// bound one declaration could exhaust a serving process's memory.
+const MaxArrayWords = 1 << 20
+
 // Check validates a parsed file: unique declarations, resolved names,
 // argument counts, break/continue placement, and array bounds known
-// at declaration. It returns the first error found.
+// at declaration and totalling at most MaxArrayWords. It returns the
+// first error found.
 func Check(f *File) error {
 	arrays := map[string]*ArrayDecl{}
+	var words int64
 	for _, a := range f.Arrays {
 		if _, dup := arrays[a.Name]; dup {
 			return errf(a.Line, 1, "duplicate array %q", a.Name)
@@ -18,6 +25,10 @@ func Check(f *File) error {
 		if a.Size <= 0 {
 			return errf(a.Line, 1, "array %q has non-positive size %d", a.Name, a.Size)
 		}
+		if a.Size > MaxArrayWords-words {
+			return errf(a.Line, 1, "array %q brings the program's arrays over %d words", a.Name, MaxArrayWords)
+		}
+		words += a.Size
 		if int64(len(a.Init)) > a.Size {
 			return errf(a.Line, 1, "array %q has %d initializers for size %d", a.Name, len(a.Init), a.Size)
 		}

@@ -166,6 +166,33 @@ func TestCheckErrors(t *testing.T) {
 	}
 }
 
+// TestCheckArrayWordBound: a program's arrays may total MaxArrayWords
+// words and no more, however the words are split across arrays and
+// however close a size comes to overflowing the running total.
+func TestCheckArrayWordBound(t *testing.T) {
+	cases := map[string]bool{
+		"array a[1048576]; func main() { return 0; }":                                   true,
+		"array a[524288]; array b[524288]; func main() { return 0; }":                   true,
+		"array a[1048577]; func main() { return 0; }":                                   false,
+		"array a[524288]; array b[524289]; func main() { return 0; }":                   false,
+		"array a[1]; array b[9223372036854775807]; func main() { return 0; }":           false,
+		"array a[4000000000]; func main() { a[3999999999] = 7; return a[3999999999]; }": false,
+	}
+	for src, ok := range cases {
+		f, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		err = Check(f)
+		if ok && err != nil {
+			t.Errorf("Check(%q) = %v, want nil", src, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "over 1048576 words")) {
+			t.Errorf("Check(%q) = %v, want the array word bound", src, err)
+		}
+	}
+}
+
 // run compiles and runs fn with args, returning (result, output).
 func run(t *testing.T, src, fn string, args ...int64) (int64, []int64) {
 	t.Helper()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestStreamGolden(t *testing.T) {
 	for _, class := range []string{"", "L1.C0.Tn.Bn.S0", "L3.C2.Ty.By.S1"} {
 		got = append(got, fmt.Sprint(class, tripBackoffs(set.Get(class), 3)))
 	}
-	o := newOverload(time.Millisecond, time.Millisecond, 42)
+	o := newOverload(42)
 	var retry []int64
 	for i := 0; i < 8; i++ {
 		retry = append(retry, o.retryAfter(0, 1, 1024*time.Millisecond).Nanoseconds())
@@ -120,6 +121,14 @@ func TestStatuszFieldsInUse(t *testing.T) {
 		if !hasPath(doc, path) {
 			t.Errorf("/statusz lacks %s:\n%s", path, raw)
 		}
+	}
+	var causes []string
+	for c := range s.StatusSnapshot().Shed {
+		causes = append(causes, c)
+	}
+	sort.Strings(causes)
+	if got, want := strings.Join(causes, " "), "breaker_open draining heap_watermark queue_age queue_full"; got != want {
+		t.Errorf("/statusz shed causes = %s, want %s", got, want)
 	}
 }
 

@@ -4,109 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// --- service-time estimators ---
-
-func TestClassStatsEstimate(t *testing.T) {
-	var cs classStats
-	if _, _, n := cs.estimate(); n != 0 {
-		t.Fatal("fresh stats report samples")
-	}
-	// 9 samples of 10ms and one 100ms outlier: EWMA stays near 10ms,
-	// p90 picks up the tail.
-	for i := 0; i < 9; i++ {
-		cs.record(10 * time.Millisecond)
-	}
-	cs.record(100 * time.Millisecond)
-	ewma, p90, n := cs.estimate()
-	if n != 10 {
-		t.Fatalf("n = %d, want 10", n)
-	}
-	if ewma < 10*time.Millisecond || ewma > 40*time.Millisecond {
-		t.Fatalf("ewma = %s, want near 10ms (one outlier weighted %v)", ewma, ewmaAlpha)
-	}
-	if p90 != 100*time.Millisecond {
-		t.Fatalf("p90 = %s, want the 100ms outlier", p90)
-	}
-}
-
-// --- CoDel controller ---
-
-func TestCodelBelowTargetNeverSheds(t *testing.T) {
-	c := codel{target: 10 * time.Millisecond, interval: 40 * time.Millisecond}
-	now := time.Unix(0, 0)
-	for i := 0; i < 100; i++ {
-		now = now.Add(time.Millisecond)
-		if c.onDequeue(now, 5*time.Millisecond) {
-			t.Fatalf("shed at %d with sojourn below target", i)
-		}
-	}
-}
-
-func TestCodelShedsAfterSustainedDelay(t *testing.T) {
-	c := codel{target: 10 * time.Millisecond, interval: 40 * time.Millisecond}
-	now := time.Unix(0, 0)
-	// A transient above-target burst shorter than one interval: armed
-	// but no sheds.
-	for i := 0; i < 3; i++ {
-		now = now.Add(5 * time.Millisecond)
-		if c.onDequeue(now, 20*time.Millisecond) {
-			t.Fatalf("shed %s into the burst, before a full interval elapsed", now.Sub(time.Unix(0, 0)))
-		}
-	}
-	// Delay recovers: state resets.
-	now = now.Add(5 * time.Millisecond)
-	if c.onDequeue(now, 2*time.Millisecond) {
-		t.Fatal("shed on a below-target dequeue")
-	}
-	// Sustained delay: the first shed lands once a full interval has
-	// passed above target, and sheds keep coming while delay stays up
-	// (spacing shrinks by the control law).
-	sheds := 0
-	for i := 0; i < 200; i++ {
-		now = now.Add(2 * time.Millisecond)
-		if c.onDequeue(now, 25*time.Millisecond) {
-			sheds++
-		}
-	}
-	if sheds < 3 {
-		t.Fatalf("only %d sheds over 400ms of sustained over-target delay", sheds)
-	}
-	if dropping, count, drops := c.snapshot(); !dropping || count < 3 || drops != int64(sheds) {
-		t.Fatalf("snapshot = (%v, %d, %d), sheds = %d", dropping, count, drops, sheds)
-	}
-	// Recovery exits dropping state.
-	now = now.Add(2 * time.Millisecond)
-	c.onDequeue(now, time.Millisecond)
-	if dropping, _, _ := c.snapshot(); dropping {
-		t.Fatal("still dropping after delay recovered")
-	}
-}
-
-// TestCodelSpacingTightens: the control law spaces sheds closer as
-// overload persists.
-func TestCodelSpacingTightens(t *testing.T) {
-	c := codel{interval: 100 * time.Millisecond}
-	c.count = 1
-	first := c.spacing()
-	c.count = 16
-	if tight := c.spacing(); tight >= first {
-		t.Fatalf("spacing did not tighten: count 1 → %s, count 16 → %s", first, tight)
-	}
-	if got, want := c.spacing(), 25*time.Millisecond; got != want {
-		t.Fatalf("spacing(count=16) = %s, want %s", got, want)
-	}
-}
-
-// --- adaptive Retry-After ---
+// --- Retry-After ---
 
 func TestRetryAfterDeterministicJitter(t *testing.T) {
-	mk := func() *overload { return newOverload(time.Millisecond, 4*time.Millisecond, 42) }
+	mk := func() *overload { return newOverload(42) }
 	a, b := mk(), mk()
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 16; i++ {
@@ -124,7 +32,7 @@ func TestRetryAfterDeterministicJitter(t *testing.T) {
 		t.Fatalf("16 draws produced only %d distinct values — not jittered", len(seen))
 	}
 	// A different seed gives a different stream.
-	cDiff := newOverload(time.Millisecond, 4*time.Millisecond, 43)
+	cDiff := newOverload(43)
 	same := 0
 	for i := 0; i < 16; i++ {
 		if cDiff.retryAfter(4, 2, time.Second) == a.retryAfter(4, 2, time.Second) {
@@ -139,9 +47,9 @@ func TestRetryAfterDeterministicJitter(t *testing.T) {
 // TestRetryAfterTracksDrainRate: once warm, the advice scales with
 // backlog and observed service time instead of the static fallback.
 func TestRetryAfterTracksDrainRate(t *testing.T) {
-	o := newOverload(time.Millisecond, 4*time.Millisecond, 1)
+	o := newOverload(1)
 	for i := 0; i < statsMinSamples; i++ {
-		o.observe("c", 200*time.Millisecond)
+		o.observe(200 * time.Millisecond)
 	}
 	// 10 queued, 2 workers, ~200ms each → ~1.1s drain; jitter spans
 	// [0.75, 1.25).
@@ -150,53 +58,66 @@ func TestRetryAfterTracksDrainRate(t *testing.T) {
 		t.Fatalf("warm Retry-After = %s, want around the ~1.1s drain estimate", got)
 	}
 	// Cold estimator: bounded by the fallback, never zero.
-	cold := newOverload(time.Millisecond, 4*time.Millisecond, 1)
+	cold := newOverload(1)
 	if got := cold.retryAfter(10, 2, time.Second); got <= 0 || got > 5*time.Second {
 		t.Fatalf("cold Retry-After = %s", got)
 	}
 }
 
-// --- admission gates ---
-
-func TestAdmitGateColdInert(t *testing.T) {
-	o := newOverload(time.Millisecond, 4*time.Millisecond, 1)
-	// No samples at all, then a class below the warm threshold:
-	// always admit.
-	if o.missesDeadline("x", time.Millisecond, 1000, 1) {
-		t.Fatal("cold gate shed, want admit")
-	}
-	for i := 0; i < statsMinSamples-1; i++ {
-		o.observe("x", time.Second)
-	}
-	if o.missesDeadline("x", time.Millisecond, 1000, 1) {
-		t.Fatal("under-sampled gate shed, want admit")
-	}
-}
-
-func TestAdmitGateDeadline(t *testing.T) {
-	o := newOverload(time.Millisecond, 4*time.Millisecond, 1)
-	for i := 0; i < statsMinSamples; i++ {
-		o.observe("slow", 100*time.Millisecond)
-	}
-	// Queue drain (4×100ms / 1 worker) + p90 100ms ≫ 50ms budget.
-	if !o.missesDeadline("slow", 50*time.Millisecond, 4, 1) {
-		t.Fatal("doomed request admitted, want deadline shed")
-	}
-	// A generous budget admits.
-	if o.missesDeadline("slow", 10*time.Second, 4, 1) {
-		t.Fatal("roomy deadline was rejected")
-	}
-}
-
 // --- server integration ---
 
+// TestServerShedsAfterHalfDeadline: a queued request that has waited
+// more than half its own deadline is shed as queue_age when a worker
+// reaches it, with cold Retry-After advice near half that deadline;
+// a request with a longer deadline waits the same time and runs.
+func TestServerShedsAfterHalfDeadline(t *testing.T) {
+	e := newTestServer(t, Config{Workers: 1, QueueDepth: 4, RetryJitterSeed: 1})
+	waitFor := func(what string, cond func(Status) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(e.s.StatusSnapshot()); {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, e.s.StatusSnapshot())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The busy request holds the only worker for its whole 600ms.
+	busy := make(chan Response, 1)
+	go func() {
+		resp, _ := e.post(Request{Source: busySrc, Sim: "timing", Args: []int64{1 << 40}, TimeoutMS: 600})
+		busy <- resp
+	}()
+	waitFor("the busy request to start", func(st Status) bool { return st.InFlight == 1 && st.QueueLen == 0 })
+	short := make(chan Response, 1)
+	go func() {
+		resp, _ := e.post(Request{Source: fastSrc, Sim: "timing", TimeoutMS: 200})
+		short <- resp
+	}()
+	waitFor("the short request to queue", func(st Status) bool { return st.QueueLen == 1 })
+	long, _ := e.post(Request{Source: fastSrc, Sim: "timing", TimeoutMS: 4000})
+
+	if resp := <-short; resp.Class != ClassShed || !strings.Contains(resp.Error, "half the 200ms deadline") {
+		t.Fatalf("200ms request queued behind a 600ms one: class %s (%s), want shed", resp.Class, resp.Error)
+	} else if resp.RetryAfterMS < 75 || resp.RetryAfterMS > 125 {
+		t.Fatalf("cold Retry-After %dms, want half the deadline (100ms) jittered by ±25%%", resp.RetryAfterMS)
+	}
+	if long.Class != ClassOK {
+		t.Fatalf("4s request after the same wait: class %s (%s), want ok", long.Class, long.Error)
+	}
+	if resp := <-busy; resp.Class != ClassTimeout {
+		t.Fatalf("busy request: class %s, want timeout", resp.Class)
+	}
+	if st := e.s.StatusSnapshot(); st.Shed["queue_age"] != 1 {
+		t.Fatalf("shed causes %v, want one queue_age", st.Shed)
+	}
+}
+
 // TestServerShedRetryAfterJittered: queue-pressure sheds carry
-// positive, load-derived, jittered Retry-After (satellite: the old
-// constant MaxQueueAge advice is gone).
+// positive, load-derived, jittered Retry-After.
 func TestServerShedRetryAfterJittered(t *testing.T) {
 	e := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1,
-		DefaultTimeout: 2 * time.Second, MaxQueueAge: 800 * time.Millisecond,
+		DefaultTimeout:  2 * time.Second,
 		RetryJitterSeed: 7,
 	})
 	var mu sync.Mutex

@@ -3,8 +3,8 @@
 // stack the batch CLIs never needed — bounded admission with
 // backpressure, per-request deadlines propagated end-to-end (front
 // end → formation checkpoints → simulator block polls), per-workload-
-// class circuit breakers, load shedding on queue age and heap
-// watermarks, and graceful drain. Every outcome maps into one
+// class circuit breakers, load shedding on a full queue, queue age
+// and heap watermarks, and graceful drain. Every outcome maps into one
 // structured error class (ErrClass); /healthz, /readyz and /statusz
 // expose liveness, admission state, and the full counter surface.
 //
@@ -17,9 +17,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -51,24 +53,10 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline applied when the
 	// request does not carry one (<= 0: 10s); MaxTimeout clamps
 	// client-supplied deadlines (<= 0: 60s). The deadline spans queue
-	// wait plus execution.
+	// wait plus execution, and a request that waits in the queue for
+	// more than half of it is shed instead of started.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxQueueAge sheds requests that waited in the queue longer than
-	// this before starting (<= 0: half the default timeout). Stale
-	// work is the first thing an overloaded server must stop doing.
-	// With the adaptive controller below it acts as the hard backstop.
-	MaxQueueAge time.Duration
-	// TargetQueueDelay is the adaptive controller's queue-sojourn
-	// target (<= 0: MaxQueueAge/4). When dequeue delay stays above it
-	// for a full ControlInterval, the server starts shedding dequeued
-	// work CoDel-style — early, spaced sheds instead of waiting for
-	// the MaxQueueAge cliff.
-	TargetQueueDelay time.Duration
-	// ControlInterval is how long delay must stay above target before
-	// shedding starts, and the base spacing between sheds (<= 0:
-	// 4 × TargetQueueDelay).
-	ControlInterval time.Duration
 	// RetryJitterSeed seeds the deterministic jitter stream applied
 	// to drain-rate-derived Retry-After advice, so seeded runs replay
 	// their backpressure exactly.
@@ -115,15 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
-	}
-	if c.MaxQueueAge <= 0 {
-		c.MaxQueueAge = c.DefaultTimeout / 2
-	}
-	if c.TargetQueueDelay <= 0 {
-		c.TargetQueueDelay = c.MaxQueueAge / 4
-	}
-	if c.ControlInterval <= 0 {
-		c.ControlInterval = 4 * c.TargetQueueDelay
 	}
 	if c.DrainBudget <= 0 {
 		c.DrainBudget = 10 * time.Second
@@ -178,6 +157,27 @@ type Request struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// MaxRequestBytes bounds a POST /v1/jobs body at both tiers, hbserved
+// and hbfront.
+const MaxRequestBytes = 1 << 20
+
+// DecodeRequest reads a POST /v1/jobs body of at most MaxRequestBytes
+// that names only Request's fields, and returns the bytes it read
+// with it. Both tiers decode through it and hbfront forwards those
+// bytes unchanged, so a body one tier accepts the other accepts too;
+// an error is the caller's invalid-input answer.
+func DecodeRequest(w http.ResponseWriter, r *http.Request) (Request, []byte, error) {
+	var req Request
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
+		return req, nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&req)
+	return req, raw, err
+}
+
 // Response is the terminal JSON response for one request. Exactly one
 // is produced per submit, whatever happened.
 type Response struct {
@@ -210,7 +210,6 @@ type Response struct {
 
 // task is one admitted request moving through the queue.
 type task struct {
-	req      Request
 	job      engine.Job
 	class    string
 	deadline time.Time
@@ -246,19 +245,16 @@ type Server struct {
 	samplerStop chan struct{}
 	samplerDone chan struct{}
 
-	// over is the adaptive overload controller (CoDel queue-delay
-	// shedding, deadline-aware admission, drain-rate Retry-After).
+	// over derives drain-rate Retry-After advice for sheds.
 	over *overload
 
-	start        time.Time
-	counts       map[ErrClass]*atomic.Int64
-	shedFull     atomic.Int64 // shed: queue full
-	shedAge      atomic.Int64 // shed: queue age (hard backstop)
-	shedDelay    atomic.Int64 // shed: CoDel target queue delay
-	shedDeadline atomic.Int64 // shed: doomed to miss its deadline
-	shedHeap     atomic.Int64 // shed: heap watermark
-	shedBrk      atomic.Int64 // shed: breaker open
-	shedDrain    atomic.Int64 // shed: draining
+	start     time.Time
+	counts    map[ErrClass]*atomic.Int64
+	shedFull  atomic.Int64 // shed: queue full
+	shedAge   atomic.Int64 // shed: waited over half its deadline
+	shedHeap  atomic.Int64 // shed: heap watermark
+	shedBrk   atomic.Int64 // shed: breaker open
+	shedDrain atomic.Int64 // shed: draining
 
 	drainOnce sync.Once
 	drainErr  error
@@ -282,7 +278,7 @@ func New(cfg Config) (*Server, error) {
 		hardCancel:  hardCancel,
 		samplerStop: make(chan struct{}),
 		samplerDone: make(chan struct{}),
-		over:        newOverload(cfg.TargetQueueDelay, cfg.ControlInterval, cfg.RetryJitterSeed),
+		over:        newOverload(cfg.RetryJitterSeed),
 		start:       time.Now(),
 		counts:      map[ErrClass]*atomic.Int64{},
 	}
@@ -328,41 +324,16 @@ func (s *Server) worker() {
 	}
 }
 
-// process executes one dequeued task: shed it if it aged out in the
-// queue, otherwise run it through the engine under the remaining
-// deadline budget, wired for drain hard-cancel.
+// process executes one dequeued task: shed it if it waited in the
+// queue for more than half its deadline, otherwise run it through the
+// engine under the remaining budget (at least the other half), wired
+// for drain hard-cancel.
 func (s *Server) process(t *task) Response {
 	now := time.Now()
-	age := now.Sub(t.enqueued)
-	if age > s.cfg.MaxQueueAge {
+	budget := t.deadline.Sub(t.enqueued)
+	if age := now.Sub(t.enqueued); age > budget/2 {
 		s.shedAge.Add(1)
-		return Response{
-			Class:        ClassShed,
-			Error:        fmt.Sprintf("server: shed after %s in queue (max queue age %s)", age.Round(time.Millisecond), s.cfg.MaxQueueAge),
-			RetryAfterMS: s.retryAfter().Milliseconds(),
-			ClassName:    t.class,
-		}
-	}
-	// CoDel-style controller: below the hard age cap, shed dequeued
-	// work only when sojourn delay has stayed above target for a full
-	// interval, at the control law's spacing — steering the standing
-	// queue back to target instead of punishing a transient burst.
-	if s.over.codel.onDequeue(now, age) {
-		s.shedDelay.Add(1)
-		return Response{
-			Class:        ClassShed,
-			Error:        fmt.Sprintf("server: shed: queue delay %s above target %s", age.Round(time.Millisecond), s.cfg.TargetQueueDelay),
-			RetryAfterMS: s.retryAfter().Milliseconds(),
-			ClassName:    t.class,
-		}
-	}
-	remaining := time.Until(t.deadline)
-	if remaining <= 0 {
-		return Response{
-			Class:     ClassTimeout,
-			Error:     "server: deadline expired while queued",
-			ClassName: t.class,
-		}
+		return shed(t.class, fmt.Sprintf("waited %s in queue, over half the %s deadline", age.Round(time.Millisecond), budget), s.retryAfter(budget))
 	}
 	// The request context carries client disconnects; the drain hard
 	// context cancels in-flight work once the drain budget is spent;
@@ -375,7 +346,7 @@ func (s *Server) process(t *task) Response {
 	defer stop()
 
 	job := t.job
-	job.Timeout = remaining
+	job.Timeout = t.deadline.Sub(now)
 	res := s.eng.Submit(ctx, job)
 	class := Classify(res)
 	resp := Response{
@@ -396,20 +367,20 @@ func (s *Server) process(t *task) Response {
 	if class == ClassOK || class == ClassDegraded {
 		m := res.Metrics
 		resp.Metrics = &m
-		// Completed service feeds the admission estimators. Engine
-		// wall time, not queue wait: the estimators predict service
-		// cost, the queue they model separately. Timeouts are not
-		// recorded — they observe the deadline, not the cost.
-		s.over.observe(t.class, time.Duration(res.WallNS))
+		// Completed service feeds the Retry-After estimate: engine
+		// wall time, not queue wait, since the advice multiplies it by
+		// the backlog.
+		s.over.observe(time.Duration(res.WallNS))
 	}
 	return resp
 }
 
 // retryAfter derives shed Retry-After advice from the current queue
-// length and observed drain rate, with deterministic seeded jitter
-// (MaxQueueAge bounds the advice while estimates are cold).
-func (s *Server) retryAfter() time.Duration {
-	return s.over.retryAfter(len(s.queue), s.cfg.Workers, s.cfg.MaxQueueAge)
+// length and observed drain rate, with deterministic seeded jitter.
+// Half the shed request's deadline stands in while the estimate is
+// cold and bounds it at four times that.
+func (s *Server) retryAfter(budget time.Duration) time.Duration {
+	return s.over.retryAfter(len(s.queue), s.cfg.Workers, budget/2)
 }
 
 // admitErr says why admission refused a task.
@@ -643,10 +614,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, _, err := DecodeRequest(w, r)
+	if err != nil {
 		s.respond(w, Response{
 			Class: ClassInvalidInput,
 			Error: fmt.Sprintf("server: invalid input: bad JSON: %v", err),
@@ -659,7 +628,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	now := time.Now()
+	now, budget := time.Now(), s.timeout(req)
 	if s.Draining() {
 		s.shedDrain.Add(1)
 		s.respond(w, shed(class, "draining", s.cfg.DrainBudget))
@@ -668,15 +637,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if heap := s.heapBytes.Load(); heap > heapWatermark {
 		s.shedHeap.Add(1)
 		s.respond(w, shed(class, fmt.Sprintf("heap %d bytes above watermark %d", heap, heapWatermark), time.Second))
-		return
-	}
-	// Estimate-driven admission (inert until the service-time
-	// estimators are warm): reject requests that cannot finish inside
-	// their own deadline.
-	budget := s.timeout(req)
-	if s.over.missesDeadline(class, budget, len(s.queue), s.cfg.Workers) {
-		s.shedDeadline.Add(1)
-		s.respond(w, shed(class, fmt.Sprintf("predicted completion past the %s deadline (queue drain + class p90)", budget), s.retryAfter()))
 		return
 	}
 	br := s.breakers.Get(class)
@@ -688,7 +648,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t := &task{
-		req:      req,
 		job:      job,
 		class:    class,
 		deadline: now.Add(budget),
@@ -705,7 +664,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case admitFull:
 		br.ReleaseProbe()
 		s.shedFull.Add(1)
-		s.respond(w, shed(class, fmt.Sprintf("admission queue full (%d)", s.cfg.QueueDepth), s.retryAfter()))
+		s.respond(w, shed(class, fmt.Sprintf("admission queue full (%d)", s.cfg.QueueDepth), s.retryAfter(budget)))
 		return
 	}
 
@@ -741,9 +700,8 @@ type Status struct {
 	Shed    map[string]int64   `json:"shed"`
 	// Breakers snapshots every workload-class breaker.
 	Breakers map[string]BreakerStatus `json:"breakers"`
-	// Overload snapshots the adaptive overload controller (CoDel
-	// state, per-class service-time estimates, the current drain-rate
-	// Retry-After base).
+	// Overload is the service-time estimate behind drain-rate
+	// Retry-After advice.
 	Overload OverloadStatus `json:"overload"`
 	// Cache is the engine result cache's hit/miss surface; Store
 	// breaks the backing artifact tiers down (nil when memory-only);
@@ -784,14 +742,12 @@ func (s *Server) StatusSnapshot() Status {
 		Shed: map[string]int64{
 			"queue_full":     s.shedFull.Load(),
 			"queue_age":      s.shedAge.Load(),
-			"queue_delay":    s.shedDelay.Load(),
-			"deadline":       s.shedDeadline.Load(),
 			"heap_watermark": s.shedHeap.Load(),
 			"breaker_open":   s.shedBrk.Load(),
 			"draining":       s.shedDrain.Load(),
 		},
 		Breakers: s.breakers.Status(time.Now()),
-		Overload: s.over.status(len(s.queue), s.cfg.Workers, s.cfg.MaxQueueAge),
+		Overload: s.over.status(),
 		Cache:    s.eng.Cache().Stats(),
 		Store:    s.eng.Cache().StoreStats(),
 		Flights:  s.eng.FlightStats(),

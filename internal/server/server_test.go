@@ -267,6 +267,7 @@ func TestServerValidation(t *testing.T) {
 		{"bad sim", Request{Workload: "ammp_1", Sim: "quantum"}, "unknown simulator"},
 		{"parse error", Request{Source: "func ("}, "invalid input"},
 		{"check error", Request{Source: "func main() { return x; }"}, "invalid input"},
+		{"arrays too large", Request{Source: "array a[1048577]; func main() { return 0; }"}, "over 1048576 words"},
 	}
 	for _, c := range cases {
 		resp, status := e.post(c.req)
@@ -285,6 +286,25 @@ func TestServerValidation(t *testing.T) {
 	defer hr.Body.Close()
 	if hr.StatusCode != 400 {
 		t.Errorf("bad JSON: status %d, want 400", hr.StatusCode)
+	}
+}
+
+// TestServerBodyBound: a body over MaxRequestBytes is invalid-input
+// even when the request it spells is valid.
+func TestServerBodyBound(t *testing.T) {
+	e := newTestServer(t, Config{})
+	pad := strings.Repeat(" ", MaxRequestBytes)
+	for _, c := range []struct {
+		src  string
+		want ErrClass
+	}{
+		{fastSrc, ClassOK},
+		{fastSrc + pad, ClassInvalidInput},
+	} {
+		resp, _ := e.post(Request{Source: c.src, Sim: "functional"})
+		if resp.Class != c.want {
+			t.Errorf("%d-byte source: class %s (%s), want %s", len(c.src), resp.Class, resp.Error, c.want)
+		}
 	}
 }
 
@@ -325,7 +345,7 @@ func TestServerDeadlineTimeout(t *testing.T) {
 func TestServerQueueFullSheds(t *testing.T) {
 	e := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1,
-		DefaultTimeout: 2 * time.Second, MaxQueueAge: 2 * time.Second,
+		DefaultTimeout: 2 * time.Second,
 	})
 	// Occupy the single worker and the single queue slot with slow
 	// jobs, then a burst must shed.
@@ -436,7 +456,7 @@ func TestServerChaosUnderLoad(t *testing.T) {
 			s, err := New(Config{
 				Engine: eng, Workers: 4, QueueDepth: 32,
 				DefaultTimeout: 3 * time.Second, MaxTimeout: 30 * time.Second,
-				MaxQueueAge: 2 * time.Second, DrainBudget: 500 * time.Millisecond,
+				DrainBudget: 500 * time.Millisecond,
 				Breaker: BreakerConfig{
 					Window: 8, MinSamples: 3, FailureRate: 0.5,
 					Backoff: 40 * time.Millisecond, MaxBackoff: 200 * time.Millisecond,
@@ -609,8 +629,8 @@ func TestServerDrainIdempotent(t *testing.T) {
 }
 
 // TestAdmitInstantTasksConcurrently races admission against workers
-// that finish each task at once: every task is already past
-// MaxQueueAge, so process sheds it without touching the engine. A
+// that finish each task at once: every task has a zero deadline, so
+// process sheds it for its queue age without touching the engine. A
 // worker can then call inflight.Done before the admitting goroutine
 // resumes after its send, so admission must count the task in flight
 // before sending it (a late Add panics with a negative WaitGroup
