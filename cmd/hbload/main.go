@@ -15,7 +15,7 @@
 //	hbload -profile bursty -seed 1 -dry-run -stream a.ndjson
 //
 // Exit status: 0 — run completed and every requested check passed;
-// 1 — an SLO or skeleton-rate violation; 2 — the harness itself
+// 1 — an SLO or reuse-rate violation; 2 — the harness itself
 // failed (bad flags, unreachable endpoint).
 //
 // -slo arms the goodput SLO check (floor, grace, p50 bound, shed
@@ -55,7 +55,7 @@ func main() {
 		grace      = flag.Duration("grace", 500*time.Millisecond, "deadline-miss tolerance for admitted requests")
 		maxP50     = flag.Duration("max-p50", 0, "bound on goodput median latency (0: unbounded; with -slo)")
 		minShed    = flag.Int("min-shed-jitter", 8, "assert jittered Retry-After once this many sheds occurred (0: off; with -slo)")
-		minSkel    = flag.Float64("min-skeleton-rate", -1, "minimum skeleton-instantiation share of compiles (skeleton_hits/compiles; < 0: off; exit 1 below)")
+		minReuse   = flag.Float64("min-reuse-rate", -1, "minimum share of compiles that skipped the greedy search by a program hit or a skeleton replay ((program_hits+skeleton_hits)/compiles; < 0: off; exit 1 below)")
 		verbose    = flag.Bool("v", false, "progress to stderr")
 	)
 	flag.Parse()
@@ -133,16 +133,17 @@ func main() {
 		}
 		failed = failed || len(v) > 0
 	}
-	if *minSkel >= 0 {
-		// The two-tier cache gate: of the responses that actually cost a
-		// compile, at least this share must have been served by skeleton
-		// instantiation rather than the full greedy search.
+	if *minReuse >= 0 {
+		// The compile-reuse gate: of the responses that missed the
+		// result cache, at least this share must have skipped the full
+		// greedy search, served by the program tier or by skeleton
+		// replay.
 		if rep.Compiles == 0 {
-			fmt.Fprintf(os.Stderr, "hbload: SKELETON GATE: no successful compiles to measure\n")
+			fmt.Fprintf(os.Stderr, "hbload: REUSE GATE: no successful compiles to measure\n")
 			failed = true
-		} else if rep.SkeletonHitRate < *minSkel {
-			fmt.Fprintf(os.Stderr, "hbload: SKELETON GATE: hit rate %.3f (%d/%d compiles) below floor %.3f\n",
-				rep.SkeletonHitRate, rep.SkeletonHits, rep.Compiles, *minSkel)
+		} else if rep.ReuseRate < *minReuse {
+			fmt.Fprintf(os.Stderr, "hbload: REUSE GATE: reuse rate %.3f (%d program + %d skeleton hits of %d compiles) below floor %.3f\n",
+				rep.ReuseRate, rep.ProgramHits, rep.SkeletonHits, rep.Compiles, *minReuse)
 			failed = true
 		}
 	}
@@ -157,9 +158,9 @@ func main() {
 		fatalf("report: %v", err)
 	}
 
-	logf("done: goodput %d/%d (%.3f), %d shed, %d lost, %d deadline misses, skeleton %d/%d compiles (%.3f)",
+	logf("done: goodput %d/%d (%.3f), %d shed, %d lost, %d deadline misses, reuse %d program + %d skeleton of %d compiles (%.3f)",
 		rep.Goodput, rep.Offered, rep.GoodputRatio, rep.ShedRetry.Count, rep.Lost, rep.DeadlineMisses,
-		rep.SkeletonHits, rep.Compiles, rep.SkeletonHitRate)
+		rep.ProgramHits, rep.SkeletonHits, rep.Compiles, rep.ReuseRate)
 	if failed {
 		os.Exit(1)
 	}

@@ -51,18 +51,26 @@ type skeletonFields struct {
 	Fanout      int                        `json:"fanout"`
 }
 
-// instantiationFields are the request-bound inputs: concrete block
-// capacities, the back end, and the simulation. They join the full
-// result key but not the skeleton key.
-type instantiationFields struct {
+// compileFields are the request-bound compile inputs: concrete block
+// capacities and the back end. With the skeleton fields they determine
+// the compiled program, so they key the program tier.
+type compileFields struct {
 	Cons        trips.Constraints `json:"cons"`
 	RegAlloc    bool              `json:"regalloc"`
 	RegAllocOps regalloc.Options  `json:"regalloc_opts"`
 	VerifyEach  bool              `json:"verify_each_phase"`
-	Sim         SimKind           `json:"sim"`
-	SimConfig   *timing.Config    `json:"sim_config,omitempty"`
-	Entry       string            `json:"entry"`
-	Args        []int64           `json:"args"`
+}
+
+// instantiationFields are the request-bound inputs: the compile half
+// plus the simulation. They join the full result key but not the
+// skeleton key. compileFields is embedded, so its fields serialize
+// inline and the full key's bytes match the schema-4 layout.
+type instantiationFields struct {
+	compileFields
+	Sim       SimKind        `json:"sim"`
+	SimConfig *timing.Config `json:"sim_config,omitempty"`
+	Entry     string         `json:"entry"`
+	Args      []int64        `json:"args"`
 }
 
 // keyPayload is the canonical serialization hashed into a job's full
@@ -76,13 +84,14 @@ type keyPayload struct {
 	Inst     instantiationFields `json:"inst"`
 }
 
-// skeletonKeyPayload is hashed into the skeleton cache key. The Kind
-// marker keeps the two key families structurally disjoint even
-// before hashing.
+// skeletonKeyPayload is hashed into the skeleton cache key, and with
+// Compile set into the program key. The Kind marker keeps the key
+// families structurally disjoint even before hashing.
 type skeletonKeyPayload struct {
 	Schema   int            `json:"schema"`
 	Kind     string         `json:"kind"`
 	Skeleton skeletonFields `json:"skeleton"`
+	Compile  *compileFields `json:"compile,omitempty"`
 }
 
 // skeletonPart builds the skeleton field group from a canonicalized
@@ -133,25 +142,37 @@ func Key(j Job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	opts := j.Opts.Canonical()
 	p := keyPayload{
 		Schema:   KeySchema,
 		Skeleton: sk,
 		Inst: instantiationFields{
-			Cons:        opts.Cons,
-			RegAlloc:    opts.RegAlloc,
-			RegAllocOps: opts.RegAllocOpts,
-			VerifyEach:  opts.VerifyEachPhase,
-			Sim:         j.Sim,
-			Entry:       j.entry(),
-			Args:        j.Args,
+			compileFields: compilePart(j),
+			Sim:           j.Sim,
+			Entry:         j.entry(),
+			Args:          j.Args,
 		},
 	}
 	if j.Sim == SimTiming {
 		cfg := j.simConfig()
 		p.Inst.SimConfig = &cfg
 	}
-	raw, err := json.Marshal(p)
+	return hashJSON(p)
+}
+
+// compilePart builds the compile half of the instantiation fields.
+func compilePart(j Job) compileFields {
+	opts := j.Opts.Canonical()
+	return compileFields{
+		Cons:        opts.Cons,
+		RegAlloc:    opts.RegAlloc,
+		RegAllocOps: opts.RegAllocOpts,
+		VerifyEach:  opts.VerifyEachPhase,
+	}
+}
+
+// hashJSON returns the hex SHA-256 of v's JSON encoding.
+func hashJSON(v any) (string, error) {
+	raw, err := json.Marshal(v)
 	if err != nil {
 		return "", err
 	}
@@ -171,12 +192,24 @@ func SkeletonKey(j Job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	raw, err := json.Marshal(skeletonKeyPayload{Schema: KeySchema, Kind: "skeleton", Skeleton: sk})
+	return hashJSON(skeletonKeyPayload{Schema: KeySchema, Kind: "skeleton", Skeleton: sk})
+}
+
+// ProgramKey returns the job's program-tier key: Key without the
+// simulation fields (Sim, SimConfig, Entry, Args), that is the
+// skeleton fields plus the compile half of the instantiation fields.
+// Jobs that share it compile to the same program and differ only in
+// how it is simulated.
+func ProgramKey(j Job) (string, error) {
+	if j.Fn != nil {
+		return "", fmt.Errorf("engine: custom-body job %s/%s is not cacheable", j.Workload, j.Config)
+	}
+	sk, err := skeletonPart(j)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	cf := compilePart(j)
+	return hashJSON(skeletonKeyPayload{Schema: KeySchema, Kind: "program", Skeleton: sk, Compile: &cf})
 }
 
 // CacheStats are the cache's operation counters.

@@ -92,8 +92,7 @@ type Engine struct {
 
 	// Single-flight: identical in-flight cacheable jobs coalesce onto
 	// one execution (see singleflight.go).
-	fmu     sync.Mutex
-	flights map[string]*flight
+	flights *flightTable[attemptOutcome]
 	fstats  flightCounters
 	// flightHook, when set (tests only), runs in the flight runner
 	// just before the compile starts.
@@ -102,6 +101,12 @@ type Engine struct {
 	// submitSeq indexes Submit results in trace events (Run indexes
 	// by slice position instead).
 	submitSeq atomic.Int64
+
+	// Program tier: compiled programs keyed on the job minus its
+	// simulation fields (see ProgramKey), with one compile per key in
+	// flight (see program.go).
+	progs    *programCache
+	pflights *flightTable[programOutcome]
 
 	// Skeleton tier: formation decision traces keyed on the
 	// parameter-independent part of the job (see SkeletonKey), shared
@@ -130,9 +135,11 @@ func New(cfg Config) *Engine {
 		workers: w, cache: c, timeout: cfg.Timeout, tracer: cfg.Tracer,
 		backoff: backoff, chaos: cfg.Chaos,
 		wdTrips: map[string]int{}, quarantined: map[string]bool{},
-		flights: map[string]*flight{},
-		skel:    newSkeletonCache(c.Store()),
-		instLat: metrics.NewWindow(instLatWindow),
+		flights:  newFlightTable[attemptOutcome](),
+		progs:    newProgramCache(),
+		pflights: newFlightTable[programOutcome](),
+		skel:     newSkeletonCache(c.Store()),
+		instLat:  metrics.NewWindow(instLatWindow),
 	}
 }
 
@@ -180,12 +187,17 @@ type Result struct {
 	// (or already was) quarantined.
 	WatchdogTrips int
 	Quarantined   bool
-	// SkeletonHit reports that the compile behind this result was
-	// served by replaying a cached formation skeleton rather than the
-	// full greedy search (set on the runner and every coalesced waiter
-	// alike; false on full-result cache hits, which did not compile at
-	// all). SkeletonFallbacks counts the functions within that replay
-	// that missed a recorded precondition and reran greedy formation.
+	// ProgramHit reports that this result skipped the compiler: the
+	// program tier served a program compiled for an earlier job, or
+	// one a concurrent job with the same ProgramKey was compiling.
+	// SkeletonHit reports that the compile behind this result replayed
+	// a cached formation skeleton rather than running the full greedy
+	// search. SkeletonFallbacks counts the functions within that
+	// replay that missed a recorded precondition and reran greedy
+	// formation. All three are set on the runner and every coalesced
+	// waiter alike, and are false on full-result cache hits, which did
+	// not compile at all.
+	ProgramHit        bool
 	SkeletonHit       bool
 	SkeletonFallbacks int
 }
@@ -330,7 +342,9 @@ func (e *Engine) runOne(ctx context.Context, i int, j Job) Result {
 		e.runCoalesced(ctx, &r, j, key, qkey, timeout)
 		return finish()
 	}
-	o := e.attempt(ctx, j, timeout, inj)
+	// Chaos and custom-body jobs compile from source: neither reads
+	// nor fills the program tier.
+	o := e.attempt(ctx, j, timeout, inj, compileSource)
 	r.Metrics, r.Err, r.Retries, r.WatchdogTrips = o.m, o.err, o.retries, o.wdTrips
 	if r.WatchdogTrips > 0 {
 		r.Quarantined = e.recordWatchdogTrips(qkey, r.WatchdogTrips)
@@ -340,15 +354,14 @@ func (e *Engine) runOne(ctx context.Context, i int, j Job) Result {
 
 // attemptOutcome is one execution's result: the metrics, the error,
 // and the retry/watchdog bookkeeping that feeds quarantine. Flight
-// runners also record the skeleton-tier outcome here so coalesced
-// waiters report it identically.
+// runners also record the program- and skeleton-tier outcome here so
+// coalesced waiters report it identically.
 type attemptOutcome struct {
-	m             Metrics
-	err           error
-	retries       int
-	wdTrips       int
-	skelHit       bool
-	skelFallbacks int
+	m       Metrics
+	err     error
+	retries int
+	wdTrips int
+	tier    tierOutcome
 }
 
 // attempt executes the job body once, plus the engine's single
@@ -361,9 +374,9 @@ type attemptOutcome struct {
 // context has ended (deadline passed, caller gone) is never retried:
 // the second attempt would be stillborn, and the caller must still
 // receive exactly one terminal result promptly.
-func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj timing.Injector) attemptOutcome {
+func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj timing.Injector, compile compileFunc) attemptOutcome {
 	var o attemptOutcome
-	o.m, o.err = runIsolated(ctx, j, timeout, inj)
+	o.m, o.err = runIsolated(ctx, j, timeout, inj, compile)
 	if o.err != nil && errors.Is(o.err, timing.ErrWatchdog) {
 		o.wdTrips++
 	}
@@ -372,7 +385,7 @@ func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj 
 		time.Sleep(e.backoff)
 		if ctx.Err() == nil {
 			o.retries = 1
-			o.m, o.err = runIsolated(ctx, j, timeout, inj)
+			o.m, o.err = runIsolated(ctx, j, timeout, inj, compile)
 			if o.err != nil && errors.Is(o.err, timing.ErrWatchdog) {
 				o.wdTrips++
 			}
@@ -387,7 +400,7 @@ func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj 
 // passed to the body, where the compiler's phase checkpoints and both
 // simulators poll it: on timeout or cancellation the body exits
 // cooperatively instead of the goroutine being abandoned mid-run.
-func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timing.Injector) (Metrics, error) {
+func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timing.Injector, compile compileFunc) (Metrics, error) {
 	type outcome struct {
 		m   Metrics
 		err error
@@ -406,7 +419,7 @@ func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timin
 					ErrPanic, j.Workload, j.Config, rec, debug.Stack())}
 			}
 		}()
-		m, err := j.execute(ctx, inj)
+		m, err := j.execute(ctx, inj, compile)
 		done <- outcome{m, err}
 	}()
 	timeoutErr := func() error {

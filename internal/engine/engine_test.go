@@ -88,11 +88,25 @@ func perturb(v reflect.Value) bool {
 	return true
 }
 
-// TestKeyStability: Key is deterministic, and every exported field of
-// engine.Job, compiler.Options (with its nested structs) and
-// timing.Config either changes it or sits on keyAllowlist. A field
-// added without reaching keyPayload fails here, before a replicated
-// store can serve stale artifacts under the old key.
+// simOnly reports whether the field at path only steers simulation:
+// it must change Key but leave ProgramKey alone, so that jobs differing
+// in it share one compiled program.
+func simOnly(path string) bool {
+	switch path {
+	case "Sim", "Entry", "Args":
+		return true
+	}
+	return strings.HasPrefix(path, "SimConfig.")
+}
+
+// TestKeyStability: Key and ProgramKey are deterministic, and every
+// exported field of engine.Job, compiler.Options (with its nested
+// structs) and timing.Config either changes Key or sits on
+// keyAllowlist. Every such field also changes ProgramKey, except the
+// simulation-only ones (simOnly), which must leave it unchanged. A
+// field added without reaching keyPayload fails here, before a
+// replicated store can serve stale artifacts under the old key or the
+// program tier can serve a program compiled under other options.
 func TestKeyStability(t *testing.T) {
 	base := testJob(t, "vadd", compiler.OrderIUPO1, engine.SimTiming)
 	// Spell the defaults out so that no perturbation lands on a value
@@ -110,8 +124,19 @@ func TestKeyStability(t *testing.T) {
 	if k, _ := engine.Key(testJob(t, "vadd", compiler.OrderIUPO1, engine.SimTiming)); k != k1 {
 		t.Error("canonicalized defaults changed the key")
 	}
+	p1, err := engine.ProgramKey(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := engine.ProgramKey(testJob(t, "vadd", compiler.OrderIUPO1, engine.SimTiming)); p != p1 {
+		t.Error("canonicalized defaults changed the program key")
+	}
+	if sk, _ := engine.SkeletonKey(base); p1 == k1 || p1 == sk {
+		t.Error("the program key collides with the result or skeleton key")
+	}
 
 	seen := map[string]string{k1: "base"}
+	seenProg := map[string]string{p1: "base"}
 	visited := map[string]bool{}
 	var walk func(typ reflect.Type, prefix string, index []int)
 	walk = func(typ reflect.Type, prefix string, index []int) {
@@ -132,19 +157,37 @@ func TestKeyStability(t *testing.T) {
 				continue
 			}
 			k, err := engine.Key(j)
+			p, perr := engine.ProgramKey(j)
 			switch {
 			case keyAllowlist[path]:
 				if err == nil && k != k1 {
 					t.Errorf("%s is allowlisted as non-content but changes the key", path)
 				}
-			case err != nil:
-				t.Errorf("%s: %v", path, err)
+				if perr == nil && p != p1 {
+					t.Errorf("%s is allowlisted as non-content but changes the program key", path)
+				}
+				continue
+			case err != nil || perr != nil:
+				t.Errorf("%s: %v / %v", path, err, perr)
+				continue
 			case k == k1:
 				t.Errorf("%s does not reach engine.Key; hash it or allowlist it", path)
 			case seen[k] != "":
 				t.Errorf("%s collides with %s", path, seen[k])
 			default:
 				seen[k] = path
+			}
+			switch {
+			case simOnly(path):
+				if p != p1 {
+					t.Errorf("%s only steers simulation but changes engine.ProgramKey", path)
+				}
+			case p == p1:
+				t.Errorf("%s does not reach engine.ProgramKey; a cached program would serve it", path)
+			case seenProg[p] != "":
+				t.Errorf("%s collides with %s in the program key", path, seenProg[p])
+			default:
+				seenProg[p] = path
 			}
 		}
 	}
@@ -165,8 +208,17 @@ func TestKeyStability(t *testing.T) {
 	if kv1 == kv2 {
 		t.Error("policy tuning fields not hashed")
 	}
+	pv1, _ := engine.ProgramKey(v1)
+	pv2, _ := engine.ProgramKey(v2)
+	if pv1 == pv2 {
+		t.Error("policy tuning fields not hashed into the program key")
+	}
 
-	if _, err := engine.Key(engine.Job{Fn: func() (engine.Metrics, error) { return engine.Metrics{}, nil }}); err == nil {
+	fn := engine.Job{Fn: func() (engine.Metrics, error) { return engine.Metrics{}, nil }}
+	if _, err := engine.ProgramKey(fn); err == nil {
+		t.Error("custom-body job unexpectedly has a program key")
+	}
+	if _, err := engine.Key(fn); err == nil {
 		t.Error("custom-body job unexpectedly cacheable")
 	}
 }
@@ -318,12 +370,15 @@ func TestTracer(t *testing.T) {
 	job := testJob(t, "vadd", compiler.OrderBB, engine.SimTiming)
 	eng.Run([]engine.Job{job})
 	eng.Run([]engine.Job{job}) // second run hits
+	sib := job
+	sib.Sim = engine.SimFunctional
+	eng.Run([]engine.Job{sib}) // served from the program tier
 
 	s := tracer.Summary()
-	if s.Jobs != 2 || s.Errors != 0 {
+	if s.Jobs != 3 || s.Errors != 0 {
 		t.Fatalf("summary = %+v", s)
 	}
-	if s.CacheHits != 1 || s.CacheMisses != 1 || s.HitRate != 0.5 {
+	if s.CacheHits != 1 || s.CacheMisses != 2 || s.HitRate != 1.0/3 {
 		t.Fatalf("cache counters wrong: %+v", s)
 	}
 
@@ -338,13 +393,16 @@ func TestTracer(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(doc.Jobs) != 2 || doc.Summary.Jobs != 2 {
+	if len(doc.Jobs) != 3 || doc.Summary.Jobs != 3 {
 		t.Fatalf("trace shape wrong: %d jobs", len(doc.Jobs))
 	}
 	if doc.Jobs[0].Workload != "vadd" || doc.Jobs[0].Key == "" {
 		t.Fatalf("event missing fields: %+v", doc.Jobs[0])
 	}
-	if !strings.Contains(s.Format(), "cache 1 hit / 1 miss") {
+	if doc.Jobs[0].ProgramHit || !doc.Jobs[2].ProgramHit {
+		t.Fatalf("program_hit = %v, %v; want false, true", doc.Jobs[0].ProgramHit, doc.Jobs[2].ProgramHit)
+	}
+	if !strings.Contains(s.Format(), "cache 1 hit / 2 miss") {
 		t.Errorf("summary format: %s", s.Format())
 	}
 }

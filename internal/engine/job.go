@@ -1,7 +1,8 @@
 // Package engine is the experiment execution engine: a worker-pool
 // job runner for (workload, configuration) compile+simulate jobs with
-// a content-addressed result cache, per-job panic isolation and
-// timeouts, and a structured observability layer.
+// a content-addressed result cache, a tier of compiled programs that
+// jobs differing only in simulation inputs share, per-job panic
+// isolation and timeouts, and a structured observability layer.
 //
 // The paper's evaluation (Tables 1–3, Figure 7) is embarrassingly
 // parallel — every cell is an independent compile+simulate job — so
@@ -14,10 +15,12 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/sim/functional"
 	"repro/internal/sim/timing"
 )
@@ -112,14 +115,11 @@ type Metrics struct {
 	CompileNS int64 `json:"compile_ns"`
 	SimNS     int64 `json:"sim_ns"`
 
-	// FormTrace is the formation skeleton recorded when the engine
-	// asked for one (Opts.RecordFormTrace); the flight runner moves it
-	// into the skeleton cache and strips it before the metrics are
-	// cached or handed to waiters. Replay is the replay outcome when
-	// the compile instantiated a cached skeleton. Both are engine-
-	// internal transport, not part of the measurement record.
-	FormTrace *core.ProgramTrace `json:"-"`
-	Replay    core.ReplayStats   `json:"-"`
+	// tier is how the compile behind these metrics was served. It is
+	// engine-internal transport, not part of the measurement record:
+	// the flight runner moves it into the Result and clears it before
+	// the metrics are cached or handed to waiters.
+	tier tierOutcome
 }
 
 // MispredictRate returns mispredicts per multi-exit lookup.
@@ -146,36 +146,69 @@ func (j Job) simConfig() timing.Config {
 	return j.SimConfig
 }
 
-// execute runs the job body: compile, then simulate. Errors carry the
-// workload/config labels exactly as the serial harness formatted them.
-// ctx is the engine deadline (the timing simulator polls it between
-// blocks); inj, when non-nil, is the chaos fault injector for timing
-// runs. On a simulator error the returned Metrics still carry the
-// partial run's counters, so a watchdog abort's cycles-so-far and
-// injected-fault counts reach the trace.
-func (j Job) execute(ctx context.Context, inj timing.Injector) (Metrics, error) {
+// compiled is one compiled program and the compile-side metrics every
+// simulation of it reports. Simulators only read the program, so one
+// compiled value may be simulated by many jobs at once.
+type compiled struct {
+	prog     *ir.Program
+	form     core.Stats
+	up       compiler.UnrollPeelStats
+	degraded []core.Degradation
+}
+
+// tierOutcome records which engine tier served a compile: a cached or
+// in-flight program (programHit), or a compile that replayed a
+// formation skeleton (skeletonHit, with the functions whose replay
+// fell back to greedy formation).
+type tierOutcome struct {
+	programHit  bool
+	skeletonHit bool
+	fallbacks   int
+}
+
+// compileFunc obtains a job's compiled program: compileSource compiles
+// it, Engine.program serves it through the program tier.
+type compileFunc func(ctx context.Context, j Job) (*compiled, tierOutcome, error)
+
+// compileSource compiles the job from source.
+func compileSource(ctx context.Context, j Job) (*compiled, tierOutcome, error) {
+	res, err := compiler.CompileContext(ctx, j.Source, j.Opts)
+	if err != nil {
+		return nil, tierOutcome{}, err
+	}
+	return &compiled{prog: res.Prog, form: res.FormStats, up: res.UPStats, degraded: res.Degraded}, tierOutcome{}, nil
+}
+
+// execute runs the job body: obtain the compiled program from compile,
+// then simulate. Errors carry the workload/config labels exactly as
+// the serial harness formatted them. ctx is the engine deadline (the
+// timing simulator polls it between blocks); inj, when non-nil, is the
+// chaos fault injector for timing runs. On a simulator error the
+// returned Metrics still carry the partial run's counters, so a
+// watchdog abort's cycles-so-far and injected-fault counts reach the
+// trace.
+func (j Job) execute(ctx context.Context, inj timing.Injector, compile compileFunc) (Metrics, error) {
 	if j.Fn != nil {
 		return j.Fn()
 	}
 	m := Metrics{Workload: j.Workload, Config: j.Config, Sim: j.Sim}
 
 	t0 := time.Now()
-	res, err := compiler.CompileContext(ctx, j.Source, j.Opts)
+	c, tier, err := compile(ctx, j)
 	m.CompileNS = time.Since(t0).Nanoseconds()
 	if err != nil {
 		return m, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, err)
 	}
-	m.Form = res.FormStats
-	m.UP = res.UPStats
-	m.Degraded = res.Degraded
-	m.FormTrace = res.FormTrace
-	m.Replay = res.Replay
+	m.Form = c.form
+	m.UP = c.up
+	m.Degraded = slices.Clone(c.degraded)
+	m.tier = tier
 
 	t1 := time.Now()
 	switch j.Sim {
 	case SimNone:
 	case SimTiming:
-		mach := timing.New(res.Prog, j.simConfig())
+		mach := timing.New(c.prog, j.simConfig())
 		mach.Inject = inj
 		v, rerr := mach.RunContext(ctx, j.entry(), j.Args...)
 		s := mach.Stats
@@ -197,7 +230,7 @@ func (j Job) execute(ctx context.Context, inj timing.Injector) (Metrics, error) 
 			return m, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, rerr)
 		}
 	case SimFunctional:
-		mach := functional.New(res.Prog)
+		mach := functional.New(c.prog)
 		v, err := mach.RunContext(ctx, j.entry(), j.Args...)
 		if err != nil {
 			return m, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, err)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/compiler"
@@ -11,18 +10,19 @@ import (
 	"repro/internal/store"
 )
 
-// The skeleton cache is the second level of the engine's two-level
-// lookup. A full-result miss does not necessarily mean a full
-// compile: jobs that differ only in request-bound parameters (block
-// capacities, back end, simulator, arguments) share a skeleton key,
-// and a recorded formation decision trace under that key turns the
-// compile into a cheap replay (see core.ReplayProgram). Skeleton
+// The skeleton cache is the third level of the engine's lookup, after
+// the result cache and the program tier. A program-tier miss does not
+// necessarily mean a full greedy search: jobs that differ only in
+// request-bound parameters (block capacities, back end, simulator,
+// arguments) share a skeleton key, and a recorded formation decision
+// trace under that key turns the compile into a cheap replay (see
+// core.ReplayProgram). Skeleton
 // artifacts live in the same content-addressed backing store as full
 // results — distinct content hashes, same disk/peer/replication
 // tiers — so a skeleton recorded by one shard warms the whole
 // cluster.
 
-// skeletonMemLimit bounds the in-memory decoded-trace layer (FIFO
+// skeletonMemLimit bounds the in-memory decoded-trace layer (LRU
 // eviction; the backing store keeps evicted entries).
 const skeletonMemLimit = 256
 
@@ -34,35 +34,29 @@ const instLatWindow = 256
 // write-through JSON persistence to the shared artifact store.
 type skeletonCache struct {
 	backing store.Store // nil: memory-only
-
-	mu    sync.RWMutex
-	mem   map[string]*core.ProgramTrace
-	order []string
+	mem     *lru[*core.ProgramTrace]
 
 	hits, misses, storeHits atomic.Int64
 	puts, fallbacks         atomic.Int64
 }
 
 func newSkeletonCache(backing store.Store) *skeletonCache {
-	return &skeletonCache{backing: backing, mem: map[string]*core.ProgramTrace{}}
+	return &skeletonCache{backing: backing, mem: newLRU[*core.ProgramTrace](skeletonMemLimit)}
 }
 
 // get returns the decoded trace for key, consulting memory and then
 // the backing store (promoting store hits).
 func (c *skeletonCache) get(ctx context.Context, key string) (*core.ProgramTrace, bool) {
-	c.mu.RLock()
-	tr, ok := c.mem[key]
-	c.mu.RUnlock()
-	if ok {
+	if tr, ok := c.mem.get(key); ok {
 		c.hits.Add(1)
 		return tr, true
 	}
 	if c.backing != nil {
 		payload, ok, _ := c.backing.Get(ctx, key)
 		if ok {
-			tr = &core.ProgramTrace{}
+			tr := &core.ProgramTrace{}
 			if json.Unmarshal(payload, tr) == nil && tr.Funcs != nil {
-				c.insert(key, tr)
+				c.mem.put(key, tr)
 				c.hits.Add(1)
 				c.storeHits.Add(1)
 				return tr, true
@@ -73,23 +67,9 @@ func (c *skeletonCache) get(ctx context.Context, key string) (*core.ProgramTrace
 	return nil, false
 }
 
-func (c *skeletonCache) insert(key string, tr *core.ProgramTrace) {
-	c.mu.Lock()
-	if _, exists := c.mem[key]; !exists {
-		c.order = append(c.order, key)
-	}
-	c.mem[key] = tr
-	for len(c.mem) > skeletonMemLimit && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.mem, victim)
-	}
-	c.mu.Unlock()
-}
-
 // put stores the trace, writing through to the backing store.
 func (c *skeletonCache) put(key string, tr *core.ProgramTrace) {
-	c.insert(key, tr)
+	c.mem.put(key, tr)
 	c.puts.Add(1)
 	if c.backing == nil {
 		return
@@ -101,7 +81,7 @@ func (c *skeletonCache) put(key string, tr *core.ProgramTrace) {
 	_ = c.backing.Put(context.Background(), key, payload)
 }
 
-// SkeletonStats is the two-level cache's observability snapshot:
+// SkeletonStats is the skeleton tier's observability snapshot:
 // lookup counters plus instantiation-latency quantiles over the most
 // recent skeleton-replayed compiles.
 type SkeletonStats struct {

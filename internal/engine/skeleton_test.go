@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/store"
 	"repro/internal/trips"
 )
 
@@ -55,31 +55,48 @@ func TestSkeletonKeyFactoring(t *testing.T) {
 	}
 }
 
-// stripTransport zeroes wall times and the engine-internal skeleton
-// transport fields, which legitimately differ between a replayed and a
-// from-scratch compile of the same job.
-func stripTransport(m engine.Metrics) engine.Metrics {
+// stripNS zeroes the wall times, which legitimately differ between a
+// cached, replayed or from-scratch compile of the same job.
+func stripNS(m engine.Metrics) engine.Metrics {
 	m.CompileNS, m.SimNS = 0, 0
-	m.FormTrace = nil
-	m.Replay = core.ReplayStats{}
 	return m
 }
 
-// TestSkeletonTier drives the two-level lookup end to end: first
-// compile records a skeleton, a sibling request (same program,
-// different arguments) instantiates it, and the instantiated result
-// is identical to a from-scratch compile of the same job.
+// sameAsFresh fails the test unless r succeeded and its metrics equal,
+// but for wall times, a fresh engine's result for the same job.
+func sameAsFresh(t *testing.T, what string, r engine.Result) {
+	t.Helper()
+	if r.Err != nil {
+		t.Fatalf("%s: %v", what, r.Err)
+	}
+	fresh := engine.New(engine.Config{Workers: 1}).Submit(context.Background(), r.Job)
+	if fresh.Err != nil {
+		t.Fatalf("%s: fresh engine: %v", what, fresh.Err)
+	}
+	if got, want := stripNS(r.Metrics), stripNS(fresh.Metrics); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: metrics diverge from a fresh engine:\n got: %+v\nwant: %+v", what, got, want)
+	}
+}
+
+// TestSkeletonTier drives the three-level lookup end to end. The first
+// compile records a skeleton; a sibling with other arguments is a
+// program-tier hit that never reaches the skeleton tier; a sibling
+// with tighter capacities compiles a new program by replaying the
+// skeleton; and a second engine over the same backing store, as a
+// peer shard would be, replays the stored skeleton. Every result equals
+// a from-scratch compile of the same job.
 func TestSkeletonTier(t *testing.T) {
 	ctx := context.Background()
-	e := engine.New(engine.Config{Workers: 1})
+	backing := store.NewMem()
+	e := engine.New(engine.Config{Workers: 1, Cache: engine.NewStoreCache(backing)})
 
 	base := testJob(t, "sieve", compiler.OrderIUPO1, engine.SimTiming)
 	r1 := e.Submit(ctx, base)
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
-	if r1.CacheHit || r1.SkeletonHit {
-		t.Fatalf("first compile: CacheHit=%v SkeletonHit=%v, want false/false", r1.CacheHit, r1.SkeletonHit)
+	if r1.CacheHit || r1.ProgramHit || r1.SkeletonHit {
+		t.Fatalf("first compile: CacheHit=%v ProgramHit=%v SkeletonHit=%v, want all false", r1.CacheHit, r1.ProgramHit, r1.SkeletonHit)
 	}
 	s := e.SkeletonStats()
 	if s.Misses != 1 || s.Puts != 1 || s.Hits != 0 {
@@ -87,65 +104,52 @@ func TestSkeletonTier(t *testing.T) {
 	}
 
 	// Sibling request: different measurement arguments -> full-result
-	// miss, skeleton hit.
+	// miss, program hit, skeleton tier untouched.
 	sib := base
 	sib.Args = []int64{50}
 	r2 := e.Submit(ctx, sib)
-	if r2.Err != nil {
-		t.Fatal(r2.Err)
+	if r2.CacheHit || !r2.ProgramHit || r2.SkeletonHit {
+		t.Fatalf("sibling: CacheHit=%v ProgramHit=%v SkeletonHit=%v, want false/true/false", r2.CacheHit, r2.ProgramHit, r2.SkeletonHit)
 	}
-	if r2.CacheHit {
-		t.Fatal("sibling request unexpectedly hit the full-result cache")
+	if after := e.SkeletonStats(); after != s {
+		t.Fatalf("program hit touched the skeleton tier: before %+v after %+v", s, after)
 	}
-	if !r2.SkeletonHit {
-		t.Fatal("sibling request did not instantiate the skeleton")
-	}
-	if r2.SkeletonFallbacks != 0 {
-		t.Fatalf("clean replay reported %d fallbacks", r2.SkeletonFallbacks)
-	}
-	s = e.SkeletonStats()
-	if s.Hits != 1 || s.Fallbacks != 0 || s.InstSamples != 1 {
-		t.Fatalf("after instantiation: %+v", s)
-	}
+	sameAsFresh(t, "sibling", r2)
 
-	// Instantiated output must be indistinguishable from a
-	// from-scratch compile of the sibling job.
-	fresh := engine.New(engine.Config{Workers: 1}).Submit(ctx, sib)
-	if fresh.Err != nil {
-		t.Fatal(fresh.Err)
-	}
-	if got, want := stripTransport(r2.Metrics), stripTransport(fresh.Metrics); !reflect.DeepEqual(got, want) {
-		t.Fatalf("instantiated metrics diverge from fresh compile:\n got: %+v\nwant: %+v", got, want)
-	}
-
-	// Tightened capacities share the skeleton key but can invalidate
-	// recorded preconditions; the replay must fall back, not diverge.
+	// Tightened capacities change the program key but share the
+	// skeleton key, and can invalidate recorded preconditions; the
+	// replay must fall back, not diverge.
 	tight := base
 	tight.Opts.Cons = trips.Constraints{MaxInstrs: 12, MaxMemOps: 4, RegBanks: 4, MaxReadsPerBank: 2, MaxWritesPerBank: 2, FanoutFactor: 4}
 	r3 := e.Submit(ctx, tight)
-	if r3.Err != nil {
-		t.Fatal(r3.Err)
+	if r3.ProgramHit || !r3.SkeletonHit {
+		t.Fatalf("tightened request: ProgramHit=%v SkeletonHit=%v, want false/true", r3.ProgramHit, r3.SkeletonHit)
 	}
-	if !r3.SkeletonHit {
-		t.Fatal("tightened request did not consult the skeleton")
-	}
-	freshTight := engine.New(engine.Config{Workers: 1}).Submit(ctx, tight)
-	if freshTight.Err != nil {
-		t.Fatal(freshTight.Err)
-	}
-	if got, want := stripTransport(r3.Metrics), stripTransport(freshTight.Metrics); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback metrics diverge from fresh compile:\n got: %+v\nwant: %+v", got, want)
-	}
-	if e.SkeletonStats().Fallbacks != int64(r3.SkeletonFallbacks) {
-		t.Fatalf("engine fallback counter %d != result fallbacks %d",
-			e.SkeletonStats().Fallbacks, r3.SkeletonFallbacks)
+	sameAsFresh(t, "tightened", r3)
+	if s := e.SkeletonStats(); s.Hits != 1 || s.InstSamples != 1 || s.Fallbacks != int64(r3.SkeletonFallbacks) {
+		t.Fatalf("after replay: %+v, result fallbacks %d", s, r3.SkeletonFallbacks)
 	}
 
+	// A second engine over the same backing store has an empty program
+	// tier and skeleton memory: it replays the stored skeleton.
+	peer := engine.New(engine.Config{Workers: 1, Cache: engine.NewStoreCache(backing)})
+	other := base
+	other.Args = []int64{60}
+	r4 := peer.Submit(ctx, other)
+	if r4.CacheHit || r4.ProgramHit || !r4.SkeletonHit || r4.SkeletonFallbacks != 0 {
+		t.Fatalf("peer: CacheHit=%v ProgramHit=%v SkeletonHit=%v fallbacks=%d, want false/false/true/0",
+			r4.CacheHit, r4.ProgramHit, r4.SkeletonHit, r4.SkeletonFallbacks)
+	}
+	if ps := peer.SkeletonStats(); ps.StoreHits != 1 {
+		t.Fatalf("peer skeleton stats %+v, want one store hit", ps)
+	}
+	sameAsFresh(t, "peer replay", r4)
+
 	// A repeat of the original request is a full-result hit and never
-	// reaches the skeleton tier.
-	r4 := e.Submit(ctx, base)
-	if !r4.CacheHit || r4.SkeletonHit {
-		t.Fatalf("repeat: CacheHit=%v SkeletonHit=%v, want true/false", r4.CacheHit, r4.SkeletonHit)
+	// reaches the program or skeleton tiers.
+	r5 := e.Submit(ctx, base)
+	if !r5.CacheHit || r5.ProgramHit || r5.SkeletonHit {
+		t.Fatalf("repeat: CacheHit=%v ProgramHit=%v SkeletonHit=%v, want true/false/false", r5.CacheHit, r5.ProgramHit, r5.SkeletonHit)
 	}
 
 	// The BB baseline never forms, so it must not touch the tier.

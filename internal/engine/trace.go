@@ -18,9 +18,11 @@ type Event struct {
 	Key      string  `json:"key,omitempty"`
 	CacheHit bool    `json:"cache_hit"`
 	// Coalesced marks a submission that joined an identical in-flight
-	// compile instead of executing (single-flight).
-	Coalesced bool   `json:"coalesced,omitempty"`
-	Error     string `json:"error,omitempty"`
+	// compile instead of executing (single-flight); ProgramHit one the
+	// program tier served without compiling.
+	Coalesced  bool   `json:"coalesced,omitempty"`
+	ProgramHit bool   `json:"program_hit,omitempty"`
+	Error      string `json:"error,omitempty"`
 	// Retries counts re-executions after a panic, timeout, or
 	// watchdog trip; a flaky cell that recovered has Retries > 0 with
 	// no Error.
@@ -104,6 +106,7 @@ func (t *Tracer) observe(r *Result) {
 		Key:           r.Key,
 		CacheHit:      r.CacheHit,
 		Coalesced:     r.Coalesced,
+		ProgramHit:    r.ProgramHit,
 		Retries:       r.Retries,
 		Faults:        m.FaultsInjected,
 		WatchdogTrips: r.WatchdogTrips,

@@ -483,3 +483,29 @@ func TestClusterForwardsBodyVerbatim(t *testing.T) {
 		t.Fatalf("class %s (%s), want ok; status %d, decode error %v", resp.Class, resp.Error, w.Code, err)
 	}
 }
+
+// TestClusterRelaysProgramHits: a request that differs from an earlier
+// one only in its arguments is served from the shard's program tier,
+// and the front relays that in the response and in program_hits.
+func TestClusterRelaysProgramHits(t *testing.T) {
+	shards := newCluster(t, 1)
+	f, err := New(Config{Shards: clusterURLs(shards)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := httptest.NewServer(f.Handler())
+	defer fs.Close()
+
+	for i, want := range []bool{false, true} {
+		req := server.Request{Source: testSrc, Args: []int64{int64(20 + i)}, Sim: "timing"}
+		if code, out := postJSON(t, fs.URL, req); code != http.StatusOK || out.ProgramHit != want {
+			t.Fatalf("request %d: status %d program_hit %v, want 200 and %v", i, code, out.ProgramHit, want)
+		}
+	}
+	if got := f.StatusSnapshot().ProgramHits; got != 1 {
+		t.Fatalf("front program_hits = %d, want 1", got)
+	}
+	if got := shards[0].eng.ProgramStats(); got.Hits != 1 || got.Misses != 1 {
+		t.Fatalf("shard program stats %+v, want 1 hit and 1 miss", got)
+	}
+}

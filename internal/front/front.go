@@ -111,9 +111,11 @@ type upstream struct {
 	hedged    bool // served by the hedge/failover try, not the primary
 	cacheHit  bool
 	coalesced bool
-	// skeletonHit/skeletonFallbacks relay the shard's two-level cache
-	// outcome (compile served by skeleton replay; functions that fell
-	// back to greedy within it).
+	// programHit/skeletonHit/skeletonFallbacks relay the shard's
+	// compile-tier outcome (program served without compiling; compile
+	// served by skeleton replay; functions that fell back to greedy
+	// within it).
+	programHit        bool
 	skeletonHit       bool
 	skeletonFallbacks int64
 	// retryAfterMS is the shard's backpressure advice on a shed
@@ -174,9 +176,11 @@ type Front struct {
 	deadSkips    atomic.Int64
 	suspectDepri atomic.Int64
 	viewApplies  atomic.Int64
-	// skelHits counts responses whose compile was a skeleton replay on
-	// the shard; skelFallbacks accumulates the per-response fallback
-	// counts (cluster-visible skeleton-cache efficacy).
+	// progHits counts responses the shard served from its program
+	// tier; skelHits those whose compile was a skeleton replay on the
+	// shard; skelFallbacks accumulates the per-response fallback
+	// counts (cluster-visible compile-tier efficacy).
+	progHits      atomic.Int64
 	skelHits      atomic.Int64
 	skelFallbacks atomic.Int64
 	counts        map[server.ErrClass]*atomic.Int64
@@ -310,6 +314,9 @@ func (f *Front) respond(w http.ResponseWriter, u upstream) {
 	f.counts[u.class].Add(1)
 	if u.cacheHit || u.coalesced {
 		f.cacheHits.Add(1)
+	}
+	if u.programHit {
+		f.progHits.Add(1)
 	}
 	if u.skeletonHit {
 		f.skelHits.Add(1)
@@ -566,6 +573,7 @@ type probeBody struct {
 	CacheHit          bool  `json:"cache_hit"`
 	Coalesced         bool  `json:"coalesced"`
 	RetryAfterMS      int64 `json:"retry_after_ms"`
+	ProgramHit        bool  `json:"program_hit"`
 	SkeletonHit       bool  `json:"skeleton_hit"`
 	SkeletonFallbacks int64 `json:"skeleton_fallbacks"`
 }
@@ -638,6 +646,7 @@ func (f *Front) tryShard(ctx context.Context, s *shard, body []byte, hedged bool
 		cacheHit:          pb.CacheHit,
 		coalesced:         pb.Coalesced,
 		retryAfterMS:      pb.RetryAfterMS,
+		programHit:        pb.ProgramHit,
 		skeletonHit:       pb.SkeletonHit,
 		skeletonFallbacks: pb.SkeletonFallbacks,
 	}

@@ -58,7 +58,7 @@ func TestStatuszFieldsInUse(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"hedges", "failovers", "coalesced"} {
+	for _, field := range []string{"hedges", "failovers", "coalesced", "program_hits"} {
 		if _, ok := doc[field]; !ok {
 			t.Errorf("/statusz lacks %s:\n%s", field, raw)
 		}

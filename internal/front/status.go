@@ -43,11 +43,13 @@ type Status struct {
 	Coalesced int64   `json:"coalesced"`
 	CacheHits int64   `json:"cache_hits"`
 	HitRate   float64 `json:"hit_rate"`
-	// SkeletonHits counts responses whose shard compile was served by
-	// replaying a cached formation skeleton (the two-level cache's
-	// second tier — these were full-result misses that still skipped
-	// the greedy search); SkeletonFallbacks sums the functions within
-	// those replays that fell back to greedy formation.
+	// ProgramHits counts responses a shard served from its program
+	// tier (full-result misses that skipped the compiler);
+	// SkeletonHits counts responses whose shard compile replayed a
+	// cached formation skeleton (misses that still skipped the greedy
+	// search); SkeletonFallbacks sums the functions within those
+	// replays that fell back to greedy formation.
+	ProgramHits       int64 `json:"program_hits"`
 	SkeletonHits      int64 `json:"skeleton_hits"`
 	SkeletonFallbacks int64 `json:"skeleton_fallbacks"`
 	// Hedges counts budget-expiry hedges, HedgeWins those won by the
@@ -93,6 +95,7 @@ func (f *Front) StatusSnapshot() Status {
 		Inflight:             f.inflightN.Load(),
 		Coalesced:            f.coalesced.Load(),
 		CacheHits:            f.cacheHits.Load(),
+		ProgramHits:          f.progHits.Load(),
 		SkeletonHits:         f.skelHits.Load(),
 		SkeletonFallbacks:    f.skelFallbacks.Load(),
 		Hedges:               f.hedges.Load(),

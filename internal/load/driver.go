@@ -141,6 +141,7 @@ func post(ctx context.Context, client *http.Client, baseURL string, a Arrival, r
 	out.ErrClass = string(sr.Class)
 	out.RetryAfterMS = sr.RetryAfterMS
 	out.CacheHit = sr.CacheHit
+	out.ProgramHit = sr.ProgramHit
 	out.SkeletonHit = sr.SkeletonHit
 	out.SkeletonFallbacks = sr.SkeletonFallbacks
 	return out

@@ -20,10 +20,11 @@ type Outcome struct {
 	LatencyMS    float64 `json:"latency_ms"`
 	TimeoutMS    int64   `json:"timeout_ms"`
 	RetryAfterMS int64   `json:"retry_after_ms,omitempty"`
-	// CacheHit echoes the server's full-result cache flag;
-	// SkeletonHit/SkeletonFallbacks echo the two-level cache's
+	// CacheHit echoes the server's full-result cache flag; ProgramHit
+	// its program-tier flag; SkeletonHit/SkeletonFallbacks the
 	// skeleton-replay outcome for the compile behind this response.
 	CacheHit          bool   `json:"cache_hit,omitempty"`
+	ProgramHit        bool   `json:"program_hit,omitempty"`
 	SkeletonHit       bool   `json:"skeleton_hit,omitempty"`
 	SkeletonFallbacks int    `json:"skeleton_fallbacks,omitempty"`
 	Err               string `json:"err,omitempty"`
@@ -104,15 +105,19 @@ type Report struct {
 	MaxOverrunMS   float64 `json:"max_overrun_ms"`
 
 	// Compiles counts successful responses that were not full-result
-	// cache hits (each cost a compile on some shard); SkeletonHits is
-	// the subset served by skeleton replay instead of the greedy
-	// formation search, SkeletonFallbacks the functions within those
-	// replays that fell back, and SkeletonHitRate is
-	// SkeletonHits/Compiles (0 when no compiles happened).
+	// cache hits (each needed a compiled program on some shard).
+	// ProgramHits is the subset the program tier served without
+	// compiling, SkeletonHits the subset whose compile replayed a
+	// skeleton instead of running the greedy formation search, and
+	// SkeletonFallbacks the functions within those replays that fell
+	// back. ReuseRate is (ProgramHits+SkeletonHits)/Compiles, the
+	// share that skipped the greedy search (0 when no compiles
+	// happened).
 	Compiles          int     `json:"compiles"`
+	ProgramHits       int     `json:"program_hits"`
 	SkeletonHits      int     `json:"skeleton_hits"`
 	SkeletonFallbacks int     `json:"skeleton_fallbacks"`
-	SkeletonHitRate   float64 `json:"skeleton_hit_rate"`
+	ReuseRate         float64 `json:"reuse_rate"`
 
 	// Classes counts terminal taxonomy classes; Latency covers
 	// admitted responses; GoodLatency covers goodput responses only.
@@ -206,6 +211,9 @@ func BuildReport(profile Profile, seed int64, target string, outcomes []Outcome,
 		}
 		if goodClass(o.ErrClass) && !o.CacheHit {
 			rep.Compiles++
+			if o.ProgramHit {
+				rep.ProgramHits++
+			}
 			if o.SkeletonHit {
 				rep.SkeletonHits++
 				rep.SkeletonFallbacks += o.SkeletonFallbacks
@@ -218,7 +226,7 @@ func BuildReport(profile Profile, seed int64, target string, outcomes []Outcome,
 		}
 	}
 	if rep.Compiles > 0 {
-		rep.SkeletonHitRate = float64(rep.SkeletonHits) / float64(rep.Compiles)
+		rep.ReuseRate = float64(rep.ProgramHits+rep.SkeletonHits) / float64(rep.Compiles)
 	}
 	if rep.Offered > 0 {
 		rep.GoodputRatio = float64(rep.Goodput) / float64(rep.Offered)

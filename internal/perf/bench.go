@@ -166,7 +166,7 @@ func benchFormationFull(b *testing.B) {
 // a recorded skeleton is replayed instead of searched: the formation
 // decisions are re-applied with only their preconditions re-checked,
 // and the profile training run is skipped (replay never consults it).
-// The ratio Instantiate/Full is the two-tier cache's per-request win
+// The ratio Instantiate/Full is the skeleton tier's per-compile win
 // on a skeleton hit.
 func benchInstantiate(b *testing.B) {
 	w := mustWorkload(b, "gzip_1")
@@ -280,7 +280,7 @@ type Report struct {
 	// Extras are scalar non-timing measurements recorded alongside the
 	// benchmarks (e.g. the hotkey-profile skeleton hit-rate measured by
 	// an hbload run). Compare only notes them: each has its own gate
-	// where it is measured (hbload -min-skeleton-rate in CI).
+	// where it is measured (hbload -min-reuse-rate in CI).
 	Extras map[string]float64 `json:"extras,omitempty"`
 }
 

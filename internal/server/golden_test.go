@@ -110,6 +110,9 @@ func TestStatuszFieldsInUse(t *testing.T) {
 		"anti_entropy.sweeper_dead_peers_skipped",
 		"membership.members[].addr",
 		"membership.members[].state",
+		"program.hits",
+		"program.misses",
+		"program.entries",
 		"skeleton.hits",
 		"skeleton.misses",
 		"store.puts",

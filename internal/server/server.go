@@ -198,10 +198,14 @@ type Response struct {
 	Retries     int     `json:"retries,omitempty"`
 	Quarantined bool    `json:"quarantined,omitempty"`
 	WallMS      float64 `json:"wall_ms"`
-	// SkeletonHit reports the compile was served by instantiating a
-	// cached formation skeleton (two-level cache; false on full-result
-	// cache hits); SkeletonFallbacks counts functions in that replay
-	// that missed a precondition and reran the greedy search.
+	// ProgramHit reports the request skipped the compiler: the engine's
+	// program tier served a program compiled for an earlier or
+	// concurrent request that differed only in simulation inputs. SkeletonHit reports the
+	// compile replayed a cached formation skeleton; SkeletonFallbacks
+	// counts functions in that replay that missed a precondition and
+	// reran the greedy search. All three are false on full-result
+	// cache hits.
+	ProgramHit        bool `json:"program_hit,omitempty"`
 	SkeletonHit       bool `json:"skeleton_hit,omitempty"`
 	SkeletonFallbacks int  `json:"skeleton_fallbacks,omitempty"`
 	// Metrics is the measurement payload (ok and degraded only).
@@ -358,6 +362,7 @@ func (s *Server) process(t *task) Response {
 		Retries:           res.Retries,
 		Quarantined:       res.Quarantined,
 		WallMS:            float64(res.WallNS) / 1e6,
+		ProgramHit:        res.ProgramHit,
 		SkeletonHit:       res.SkeletonHit,
 		SkeletonFallbacks: res.SkeletonFallbacks,
 	}
@@ -709,9 +714,12 @@ type Status struct {
 	Cache   engine.CacheStats  `json:"cache"`
 	Store   *store.Stats       `json:"store,omitempty"`
 	Flights engine.FlightStats `json:"flights"`
-	// Skeleton is the second cache level: formation-skeleton hits,
-	// misses, replay fallbacks, and the instantiation-latency
-	// quantiles over recent skeleton-replayed compiles.
+	// Program is the second cache level: compiled programs served to
+	// requests that differ only in simulation inputs. Skeleton is the
+	// third: formation-skeleton hits, misses, replay fallbacks, and
+	// the instantiation-latency quantiles over recent skeleton-
+	// replayed compiles.
+	Program  engine.ProgramStats  `json:"program"`
 	Skeleton engine.SkeletonStats `json:"skeleton"`
 	// AntiEntropy snapshots the replication sweeper (replication-factor
 	// histogram, repair pushes); InjectedFaults carries the netchaos
@@ -751,6 +759,7 @@ func (s *Server) StatusSnapshot() Status {
 		Cache:    s.eng.Cache().Stats(),
 		Store:    s.eng.Cache().StoreStats(),
 		Flights:  s.eng.FlightStats(),
+		Program:  s.eng.ProgramStats(),
 		Skeleton: s.eng.SkeletonStats(),
 	}
 	for c, n := range s.counts {
