@@ -13,9 +13,10 @@
 // With -cluster-seeds the front runs an observer-mode failure
 // detector (internal/cluster): it probes the ring like a member but
 // never announces itself, and re-derives its routing set from each
-// membership view — confirmed-dead shards are skipped outright,
-// suspected shards are deprioritized behind healthy ones. The seeds
-// double as the initial shard set when -shards is omitted.
+// membership view — only serving members are ranked, so confirmed-dead
+// shards drop out, and suspected shards are deprioritized behind
+// healthy ones. The seeds double as the initial shard set when
+// -shards is omitted.
 //
 // Endpoints:
 //

@@ -19,7 +19,7 @@
 //	POST /v1/jobs        — compile/simulate a named workload or inline tl
 //	GET  /healthz        — liveness
 //	GET  /readyz         — admission readiness (503 while draining)
-//	GET  /statusz        — queue, breaker, cache, store, and taxonomy counters
+//	GET  /statusz        — queue, shed, cache, store, and taxonomy counters
 //	GET/PUT /artifact/K  — peer-addressable content-addressed artifact store
 //
 // Cluster mode: -peers lists sibling shards' base URLs — on a local
@@ -42,8 +42,8 @@
 //
 // Every response carries a structured error class (ok, invalid-input,
 // degraded, quarantined, timeout, shed, internal); see DESIGN.md's
-// "Serving architecture" section for the full taxonomy, the breaker
-// state machine, and the drain sequence.
+// "Serving architecture" section for the full taxonomy, the queue
+// rules, and the drain sequence.
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: it stops
 // admitting (readyz goes 503, new submits are shed), lets in-flight

@@ -221,17 +221,14 @@ type CacheStats struct {
 	// peer's store in a cluster (the tiered store's Stats break the
 	// provenance down further).
 	DiskHits int64 `json:"disk_hits"`
-	// Puts counts stored results; Evicts counts in-memory entries
-	// dropped by the Limit policy (evicted entries persisted by the
-	// backing store come back as DiskHits).
-	Puts   int64 `json:"puts"`
-	Evicts int64 `json:"evicts"`
+	// Puts counts stored results.
+	Puts int64 `json:"puts"`
 }
 
 // Format renders the counters as the one-line summary the CLIs print.
 func (s CacheStats) Format() string {
-	return fmt.Sprintf("cache: %d hits (%d from store), %d misses, %d puts, %d evictions",
-		s.Hits, s.DiskHits, s.Misses, s.Puts, s.Evicts)
+	return fmt.Sprintf("cache: %d hits (%d from store), %d misses, %d puts",
+		s.Hits, s.DiskHits, s.Misses, s.Puts)
 }
 
 // Cache is a content-addressed Metrics store with an in-memory layer
@@ -240,13 +237,10 @@ func (s CacheStats) Format() string {
 type Cache struct {
 	backing store.Store // nil: memory-only
 
-	mu    sync.RWMutex
-	mem   map[string]Metrics
-	order []string // insertion order, for Limit's FIFO eviction
-	limit int      // max in-memory entries (0: unbounded)
+	mu  sync.RWMutex
+	mem map[string]Metrics
 
-	hits, misses, storeHits atomic.Int64
-	puts, evicts            atomic.Int64
+	hits, misses, storeHits, puts atomic.Int64
 }
 
 // NewCache returns an in-memory cache.
@@ -276,16 +270,6 @@ func NewStoreCache(s store.Store) *Cache {
 // Store exposes the backing store (nil for a memory-only cache), e.g.
 // for mounting the artifact handler or reporting tier stats.
 func (c *Cache) Store() store.Store { return c.backing }
-
-// Limit bounds the in-memory layer to n entries; the oldest entries
-// are evicted first (the backing store keeps them). n <= 0 removes
-// the bound. Call before heavy use; it does not shrink retroactively
-// below the current population until the next insert.
-func (c *Cache) Limit(n int) {
-	c.mu.Lock()
-	c.limit = n
-	c.mu.Unlock()
-}
 
 // Get looks the key up in memory and then in the backing store, using
 // a background context. Store hits are promoted into memory.
@@ -329,22 +313,10 @@ func (c *Cache) peek(key string) (Metrics, bool) {
 	return m, ok
 }
 
-// insert adds the entry to the in-memory layer, evicting FIFO past
-// the limit.
+// insert adds the entry to the in-memory layer.
 func (c *Cache) insert(key string, m Metrics) {
 	c.mu.Lock()
-	if _, exists := c.mem[key]; !exists {
-		c.order = append(c.order, key)
-	}
 	c.mem[key] = m
-	for c.limit > 0 && len(c.mem) > c.limit && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		if _, ok := c.mem[victim]; ok {
-			delete(c.mem, victim)
-			c.evicts.Add(1)
-		}
-	}
 	c.mu.Unlock()
 }
 
@@ -378,7 +350,6 @@ func (c *Cache) Stats() CacheStats {
 		Misses:   c.misses.Load(),
 		DiskHits: c.storeHits.Load(),
 		Puts:     c.puts.Load(),
-		Evicts:   c.evicts.Load(),
 	}
 }
 

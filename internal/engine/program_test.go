@@ -318,21 +318,41 @@ func TestProgramFlightWaiterLeaves(t *testing.T) {
 	}
 
 	// A compile whose only waiter leaves is canceled at its next
-	// checkpoint and never published.
+	// checkpoint and never published. Cancellation is cooperative: the
+	// waiter's Submit returns at once, and the result flight's runner
+	// carries the cancellation down to the program flight when it next
+	// runs. So the test releases the held compile only once that has
+	// happened; on one CPU the released compile could otherwise finish
+	// first.
 	e = New(Config{Workers: 1})
 	started, release, once = make(chan struct{}), make(chan struct{}), sync.Once{}
 	ctx, cancel = context.WithCancel(context.Background())
 	lone := make(chan Result, 1)
 	go func() { lone <- e.Submit(ctx, job(3)) }()
 	<-started
+	canceled := make(chan struct{})
+	var canceledOnce sync.Once
 	e.pflights.mu.Lock()
 	var f *flight[programOutcome]
 	for _, f = range e.pflights.m {
+	}
+	cancelCompile := f.cancel
+	f.cancel = func() {
+		cancelCompile()
+		canceledOnce.Do(func() { close(canceled) })
 	}
 	e.pflights.mu.Unlock()
 	cancel()
 	if r := <-lone; !errors.Is(r.Err, ErrCanceled) {
 		t.Fatalf("lone waiter error = %v, want ErrCanceled", r.Err)
+	}
+	select {
+	case <-canceled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the last waiter left, but the program flight was never canceled")
+	}
+	if n := programWaiters(e); n != 0 {
+		t.Fatalf("%d program-flight waiters after the last one left", n)
 	}
 	close(release)
 	<-f.done

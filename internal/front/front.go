@@ -16,10 +16,8 @@
 //     issued once to the next-ranked shard and the first response
 //     wins — the loser is canceled through its context. A shed or a
 //     transport failure launches the next-ranked shard immediately,
-//     down the whole rank order. Per-shard circuit breakers (the same
-//     state machine the server uses per workload class) stop the
-//     front from hammering a dead shard, and shard failures map into
-//     the server's ErrClass taxonomy.
+//     down the whole rank order, and shard answers keep the server's
+//     ErrClass taxonomy.
 //
 //   - Single-flight: identical concurrent requests coalesce on the
 //     front by cache key and deadline before any shard is touched, so
@@ -67,8 +65,6 @@ type Config struct {
 	// initiating request's clamped deadline.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Breaker tunes the per-shard circuit breakers.
-	Breaker server.BreakerConfig
 	// Client issues backend requests (nil: a fresh http.Client; per-
 	// try deadlines come from contexts, not a client timeout).
 	Client *http.Client
@@ -145,7 +141,7 @@ type Front struct {
 	flights  map[flightKey]*flight
 	draining bool
 	// pool keeps one shard struct per URL across membership-driven
-	// set rebuilds, so breaker state and latency history survive view
+	// set rebuilds, so latency history and counters survive view
 	// flaps instead of resetting on every gossip delta.
 	pool map[string]*shard
 	// node is the membership observer feeding ApplyView, when one is
@@ -168,12 +164,8 @@ type Front struct {
 	shedNexts atomic.Int64
 	allShed   atomic.Int64
 	cacheHits atomic.Int64 // responses served from a shard cache or coalesce
-	// deadSkips counts launch candidates passed over because the
-	// membership view had confirmed them dead — hedges and failovers
-	// that would have burned their latency budget probing a corpse;
 	// suspectDepri counts requests whose rendezvous order was
 	// rearranged to let a healthy shard overtake a suspected one.
-	deadSkips    atomic.Int64
 	suspectDepri atomic.Int64
 	viewApplies  atomic.Int64
 	// progHits counts responses the shard served from its program
@@ -191,7 +183,7 @@ type Front struct {
 // New builds a front over the configured shard set.
 func New(cfg Config) (*Front, error) {
 	cfg = cfg.withDefaults()
-	set := newShardSet(cfg.Shards, cfg.Breaker)
+	set := newShardSet(cfg.Shards)
 	if len(set.urls) == 0 {
 		return nil, fmt.Errorf("front: Config.Shards must name at least one shard URL")
 	}
@@ -211,12 +203,13 @@ func New(cfg Config) (*Front, error) {
 }
 
 // ApplyView rebuilds the routing set from a cluster membership view:
-// serving members (alive, joining, suspect) become launch candidates,
-// suspects are flagged for deprioritization, and confirmed-dead
-// members stay in the rendezvous ranking — preserving every live
-// shard's key affinity — but are skipped at launch. Flights in
-// progress finish on the set they started with, and shard structs are
-// reused from a pool so breaker and latency state survive the rebuild.
+// the serving members (alive, joining, suspect) are ranked, and
+// suspects are flagged for deprioritization. Confirmed-dead members
+// leave the set. Rendezvous scores each (key, member) pair on its
+// own, so dropping a member leaves the relative order of the rest —
+// every live shard's key affinity — unchanged. Flights in progress
+// finish on the set they started with, and shard structs are reused
+// from a pool so latency state survives the rebuild.
 func (f *Front) ApplyView(v cluster.View) {
 	serving := v.Serving()
 	if len(serving) == 0 {
@@ -225,13 +218,9 @@ func (f *Front) ApplyView(v cluster.View) {
 		return
 	}
 	suspect := map[string]bool{}
-	dead := map[string]bool{}
 	for _, m := range v.Members {
-		switch m.State {
-		case cluster.StateSuspect:
+		if m.State == cluster.StateSuspect {
 			suspect[m.Addr] = true
-		case cluster.StateDead:
-			dead[m.Addr] = true
 		}
 	}
 	f.mu.Lock()
@@ -240,7 +229,7 @@ func (f *Front) ApplyView(v cluster.View) {
 		f.pool = map[string]*shard{}
 	}
 	// Adopt the current set's shards (the static seeds on the first
-	// view) so breaker and latency state survive the transition to
+	// view) so latency state survives the transition to
 	// membership-driven routing and every later view flap.
 	for u, s := range f.set.shards {
 		if _, ok := f.pool[u]; !ok {
@@ -248,14 +237,13 @@ func (f *Front) ApplyView(v cluster.View) {
 		}
 	}
 	set := &shardSet{
-		shards:  make(map[string]*shard, len(serving)+len(dead)),
+		shards:  make(map[string]*shard, len(serving)),
 		suspect: suspect,
-		dead:    dead,
 	}
-	for _, u := range append(append([]string{}, serving...), v.Dead()...) {
+	for _, u := range serving {
 		s, ok := f.pool[u]
 		if !ok {
-			s = newShard(u, f.cfg.Breaker)
+			s = newShard(u)
 			f.pool[u] = s
 		}
 		set.urls = append(set.urls, u)
@@ -442,36 +430,9 @@ func (f *Front) runFlight(fk flightKey, fl *flight, set *shardSet, body []byte, 
 	close(fl.done)
 }
 
-// nextAllowed walks the rendezvous order from position i and returns
-// the first shard whose breaker admits a request, with the position
-// after it and the longest Retry-After any refusing breaker quoted on
-// the way (so an all-breakers-open shed can relay real backoff advice
-// instead of a generic constant). Allow is consumed at launch time
-// only — a breaker probe is never reserved for a try that does not
-// happen. Members the membership view confirmed dead are passed over
-// without spending a try (or a hedge budget) on them.
-func (f *Front) nextAllowed(set *shardSet, order []string, i int, now time.Time) (*shard, int, time.Duration) {
-	var maxRetry time.Duration
-	for ; i < len(order); i++ {
-		if set.dead[order[i]] {
-			f.deadSkips.Add(1)
-			continue
-		}
-		s := set.shards[order[i]]
-		ok, retry := s.breaker.Allow(now)
-		if ok {
-			return s, i + 1, maxRetry
-		}
-		if retry > maxRetry {
-			maxRetry = retry
-		}
-	}
-	return nil, i, maxRetry
-}
-
 // hedgedDo routes one request: primary by rendezvous rank, then the
-// next allowed shard in rank order on every shed or transport failure,
-// so a request reaches every ranked shard before the front gives up.
+// next shard in rank order on every shed or transport failure, so a
+// request reaches every ranked shard before the front gives up.
 // If the primary is still the only try when the latency budget passes,
 // one hedge goes to the next shard. The first non-shed HTTP response
 // wins and cancels the other tries.
@@ -480,14 +441,7 @@ func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []
 	if moved {
 		f.suspectDepri.Add(1)
 	}
-	primary, next, brkRetry := f.nextAllowed(set, order, 0, time.Now())
-	if primary == nil {
-		if brkRetry <= 0 {
-			brkRetry = f.cfg.Breaker.Backoff
-		}
-		return synthesize(server.ClassShed,
-			"front: shed: every shard's circuit breaker is open", brkRetry)
-	}
+	primary, next := set.shards[order[0]], 1
 
 	tryCtx, cancelTries := context.WithCancel(ctx)
 	defer cancelTries()
@@ -503,18 +457,18 @@ func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []
 	timer := time.NewTimer(primary.hedgeBudget(f.cfg))
 	defer timer.Stop()
 
-	// launchNext tries the next allowed shard in rank order, counting
-	// the launch under reason. Once any try beyond the primary is out,
-	// the timer hedge stands down, so it never adds a try on top of a
-	// shed walk or a failover.
+	// launchNext tries the next shard in rank order, counting the
+	// launch under reason. Once any try beyond the primary is out, the
+	// timer hedge stands down, so it never adds a try on top of a shed
+	// walk or a failover.
 	walked := false
 	launchNext := func(reason *atomic.Int64) {
-		var s *shard
-		if s, next, _ = f.nextAllowed(set, order, next, time.Now()); s != nil {
+		if next < len(order) {
 			reason.Add(1)
 			outstanding++
 			walked = true
-			launch(s, true)
+			launch(set.shards[order[next]], true)
+			next++
 		}
 	}
 
@@ -580,35 +534,27 @@ type probeBody struct {
 
 // tryShard issues one POST to one shard and classifies the result:
 // any HTTP response is terminal (its class comes from the
-// X-Hbserved-Class header), a transport failure is err. Breaker and
-// latency bookkeeping happen here so every try — hedged or not —
-// feeds the shard's health state.
+// X-Hbserved-Class header), a transport failure is err. Latency
+// bookkeeping happens here so every try — hedged or not — feeds the
+// shard's hedge budget.
 func (f *Front) tryShard(ctx context.Context, s *shard, body []byte, hedged bool) upstream {
 	s.requests.Add(1)
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		s.errors.Add(1)
-		s.breaker.Record(time.Now(), true)
 		return upstream{shard: s.url, hedged: hedged, err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := f.client.Do(req)
 	if err != nil {
 		s.errors.Add(1)
-		// A canceled loser try says nothing about shard health.
-		if ctx.Err() == nil {
-			s.breaker.Record(time.Now(), true)
-		} else {
-			s.breaker.ReleaseProbe()
-		}
 		return upstream{shard: s.url, hedged: hedged, err: err}
 	}
 	raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	resp.Body.Close()
 	if rerr != nil {
 		s.errors.Add(1)
-		s.breaker.Record(time.Now(), true)
 		return upstream{shard: s.url, hedged: hedged, err: rerr}
 	}
 	s.lat.Record(time.Since(start).Nanoseconds())
@@ -623,17 +569,11 @@ func (f *Front) tryShard(ctx context.Context, s *shard, body []byte, hedged bool
 		// Report it as a transport-level failure so the failover path
 		// tries the next shard instead of terminating the request.
 		s.errors.Add(1)
-		s.breaker.Record(time.Now(), true)
 		return upstream{
 			shard:  s.url,
 			hedged: hedged,
 			err:    fmt.Errorf("front: shard %s replied status %d without a class header", s.url, resp.StatusCode),
 		}
-	}
-	if failure, countable := class.BreakerSignal(); countable {
-		s.breaker.Record(time.Now(), failure)
-	} else {
-		s.breaker.ReleaseProbe()
 	}
 	var pb probeBody
 	_ = json.Unmarshal(raw, &pb)

@@ -211,56 +211,6 @@ func TestFrontFailover(t *testing.T) {
 	}
 }
 
-// TestFrontBreakerShedsWhenAllOpen: persistent shard failures open
-// the per-shard breaker; with every breaker open the front sheds
-// instead of hammering dead backends.
-func TestFrontBreakerShedsWhenAllOpen(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Hbserved-Class", string(server.ClassInternal))
-		w.WriteHeader(http.StatusInternalServerError)
-		json.NewEncoder(w).Encode(server.Response{Class: server.ClassInternal, Error: "boom"})
-	})
-	s := httptest.NewServer(mux)
-	defer s.Close()
-
-	f, err := New(Config{
-		Shards:  []string{s.URL},
-		Breaker: server.BreakerConfig{Window: 4, MinSamples: 4, FailureRate: 0.5, Backoff: time.Minute},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := f.Handler()
-	sawShed := false
-	for i := 0; i < 12 && !sawShed; i++ {
-		req := testRequest()
-		req.Args = []int64{int64(i)} // distinct keys: no coalescing in the way
-		w, resp := post(t, h, req)
-		switch resp.Class {
-		case server.ClassInternal:
-			// breaker still closed; keep feeding it failures
-		case server.ClassShed:
-			sawShed = true
-			if w.Code != http.StatusTooManyRequests {
-				t.Fatalf("shed status = %d", w.Code)
-			}
-			if resp.RetryAfterMS <= 0 {
-				t.Fatalf("shed without retry-after: %+v", resp)
-			}
-		default:
-			t.Fatalf("unexpected class %s", resp.Class)
-		}
-	}
-	if !sawShed {
-		t.Fatal("breaker never opened after persistent failures")
-	}
-	st := f.StatusSnapshot()
-	if st.Shards[0].Breaker.State != server.BreakerOpen {
-		t.Fatalf("breaker state = %s, want open", st.Shards[0].Breaker.State)
-	}
-}
-
 // TestFrontCoalesce: N identical concurrent requests cross the wire
 // once. The stub holds its response until every other request has
 // joined the flight, so the coalescing window is forced.
@@ -387,133 +337,6 @@ func TestFrontInvalidInput(t *testing.T) {
 	}
 }
 
-// TestFrontHalfOpenProbeRace: when a shard's breaker half-opens,
-// exactly one concurrent request may be admitted as the probe; every
-// racing loser is shed with ClassShed (429 + retry-after), not queued
-// behind the probe and not allowed to hammer the recovering shard. A
-// successful probe closes the breaker and normal traffic resumes.
-func TestFrontHalfOpenProbeRace(t *testing.T) {
-	const losers = 8
-
-	var (
-		phase    atomic.Int32 // 0: fail, 1: block as the probe, 2: healthy
-		arrivals atomic.Int32
-	)
-	release := make(chan struct{})
-	probeIn := make(chan struct{}, 1)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		switch phase.Load() {
-		case 0:
-			w.Header().Set("X-Hbserved-Class", string(server.ClassInternal))
-			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(server.Response{Class: server.ClassInternal, Error: "boom"})
-		case 1:
-			arrivals.Add(1)
-			select {
-			case probeIn <- struct{}{}:
-			default:
-			}
-			<-release // hold the probe open while the losers race
-			writeOK(w)
-		default:
-			arrivals.Add(1)
-			writeOK(w)
-		}
-	})
-	s := httptest.NewServer(mux)
-	defer s.Close()
-
-	const backoff = 30 * time.Millisecond
-	f, err := New(Config{
-		Shards: []string{s.URL},
-		Breaker: server.BreakerConfig{
-			Window: 4, MinSamples: 4, FailureRate: 0.5,
-			Backoff: backoff, MaxBackoff: backoff,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := f.Handler()
-
-	// Open the breaker with persistent failures (distinct keys so
-	// coalescing never merges the feed).
-	opened := false
-	for i := 0; i < 16 && !opened; i++ {
-		req := testRequest()
-		req.Args = []int64{int64(i)}
-		_, resp := post(t, h, req)
-		opened = resp.Class == server.ClassShed
-	}
-	if !opened {
-		t.Fatal("breaker never opened after persistent failures")
-	}
-
-	// Wait out the (jittered) backoff so the next Allow half-opens.
-	phase.Store(1)
-	time.Sleep(2 * backoff)
-
-	// Race 1+losers distinct requests at the half-open breaker. The
-	// stub holds whichever one is admitted, so every other request
-	// sees an in-flight probe.
-	type result struct {
-		code int
-		resp server.Response
-	}
-	results := make(chan result, 1+losers)
-	var wg sync.WaitGroup
-	for i := 0; i <= losers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := testRequest()
-			req.Args = []int64{int64(100 + i)}
-			w, resp := post(t, h, req)
-			results <- result{w.Code, resp}
-		}(i)
-	}
-
-	// Release the probe only after every loser has terminated: the
-	// losers' outcomes are then decided strictly while the probe was
-	// in flight.
-	<-probeIn
-	shed := 0
-	for shed < losers {
-		r := <-results
-		if r.resp.Class != server.ClassShed {
-			t.Fatalf("loser got class %s (status %d), want shed", r.resp.Class, r.code)
-		}
-		if r.code != http.StatusTooManyRequests || r.resp.RetryAfterMS <= 0 {
-			t.Fatalf("shed shape: status %d retry_after_ms %d", r.code, r.resp.RetryAfterMS)
-		}
-		shed++
-	}
-	close(release)
-	wg.Wait()
-	winner := <-results
-	if winner.resp.Class != server.ClassOK {
-		t.Fatalf("probe winner got class %s, want ok", winner.resp.Class)
-	}
-	if got := arrivals.Load(); got != 1 {
-		t.Fatalf("%d requests reached the half-open shard, want exactly 1", got)
-	}
-
-	// The successful probe closes the breaker; traffic flows again.
-	phase.Store(2)
-	st := f.StatusSnapshot()
-	if st.Shards[0].Breaker.State != server.BreakerClosed || st.Shards[0].Breaker.HalfOpens < 1 {
-		t.Fatalf("breaker after probe success: %+v", st.Shards[0].Breaker)
-	}
-	req := testRequest()
-	req.Args = []int64{999}
-	w, resp := post(t, h, req)
-	if w.Code != http.StatusOK || resp.Class != server.ClassOK {
-		t.Fatalf("post-recovery request: status %d class %s", w.Code, resp.Class)
-	}
-}
-
 // membershipView builds a View with the given member states for
 // ApplyView tests.
 func membershipView(states map[string]cluster.State) cluster.View {
@@ -524,10 +347,9 @@ func membershipView(states map[string]cluster.State) cluster.View {
 	return cluster.View{Version: 2, Members: ms}
 }
 
-// TestFrontDeadShardSkipped (satellite): once membership confirms the
-// rendezvous primary dead, no try is ever launched at it — the next
-// rank serves immediately, the skip is counted, and /statusz labels
-// the tombstone.
+// TestFrontDeadShardSkipped: once membership confirms the rendezvous
+// primary dead, it leaves the routing set, so no try is ever launched
+// at it and the next rank serves immediately.
 func TestFrontDeadShardSkipped(t *testing.T) {
 	var served sync.Map
 	a, b := stubPair(t, func(w http.ResponseWriter, r *http.Request) {
@@ -558,18 +380,12 @@ func TestFrontDeadShardSkipped(t *testing.T) {
 	}
 
 	st := f.StatusSnapshot()
-	if st.HedgesSkippedDead == 0 {
-		t.Fatalf("dead-shard skip not counted: %+v", st)
-	}
 	if st.ViewApplies != 1 {
 		t.Fatalf("ViewApplies = %d, want 1", st.ViewApplies)
 	}
-	states := map[string]string{}
-	for _, sh := range st.Shards {
-		states[sh.URL] = sh.State
-	}
-	if states[order[0]] != "dead" || states[order[1]] != "serving" {
-		t.Fatalf("shard states = %+v", states)
+	// /statusz lists the routing set's shards, in its order.
+	if len(st.Shards) != 1 || st.Shards[0].URL != order[1] || st.Shards[0].State != "serving" {
+		t.Fatalf("routing set %+v, want only the serving shard %s", st.Shards, order[1])
 	}
 }
 
@@ -610,9 +426,6 @@ func TestFrontSuspectDeprioritized(t *testing.T) {
 	if st.SuspectDeprioritized == 0 {
 		t.Fatalf("suspect reroute not counted: %+v", st)
 	}
-	if st.HedgesSkippedDead != 0 {
-		t.Fatalf("a suspect was treated as dead: %+v", st)
-	}
 	states := map[string]string{}
 	for _, sh := range st.Shards {
 		states[sh.URL] = sh.State
@@ -622,10 +435,10 @@ func TestFrontSuspectDeprioritized(t *testing.T) {
 	}
 }
 
-// TestFrontViewFlapKeepsBreakerState: shard structs are pooled across
+// TestFrontViewFlapKeepsShardState: shard structs are pooled across
 // ApplyView calls, so a membership flap does not reset a shard's
-// breaker or latency history.
-func TestFrontViewFlapKeepsBreakerState(t *testing.T) {
+// counters or latency history.
+func TestFrontViewFlapKeepsShardState(t *testing.T) {
 	a, b := stubPair(t, func(w http.ResponseWriter, r *http.Request) { writeOK(w) })
 	f, err := New(Config{Shards: []string{a, b}})
 	if err != nil {

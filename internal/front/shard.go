@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/seeded"
-	"repro/internal/server"
 )
 
 // latWindow is how many recent latencies each shard keeps; the hedge
@@ -15,20 +13,17 @@ import (
 const latWindow = 64
 
 // shard is one backend hbserved node as the front tier sees it: its
-// URL, its circuit breaker, and its recent latency history (ns).
+// URL and its recent latency history (ns).
 type shard struct {
-	url     string
-	breaker *server.Breaker
-	lat     *metrics.Window
+	url string
+	lat *metrics.Window
 
 	requests atomic.Int64 // tries issued to this shard
 	errors   atomic.Int64 // transport-level failures
 }
 
-// newShard builds a shard whose breaker jitter stream is salted by a
-// hash of its URL, so sibling shards back off out of step.
-func newShard(u string, bcfg server.BreakerConfig) *shard {
-	return &shard{url: u, breaker: server.NewBreaker(bcfg, seeded.Hash(u)), lat: metrics.NewWindow(latWindow)}
+func newShard(u string) *shard {
+	return &shard{url: u, lat: metrics.NewWindow(latWindow)}
 }
 
 // hedgeBudget computes how long to wait on this shard before hedging:
@@ -56,18 +51,15 @@ func (s *shard) hedgeBudget(cfg Config) time.Duration {
 // shardSet is the routing set: the rendezvous names and their shard
 // structs. ApplyView replaces the whole set; in-flight work keeps the
 // set it started on. When a membership view is driving the set, urls
-// also carries confirmed-dead members — they keep their rendezvous
-// ranks (so the live shards' key affinity is undisturbed) but are
-// skipped at launch time — and suspect flags deprioritize members the
-// failure detector doubts.
+// holds only its serving members, and suspect flags deprioritize the
+// members the failure detector doubts.
 type shardSet struct {
 	urls    []string // rendezvous node names, same order as shards
 	shards  map[string]*shard
 	suspect map[string]bool // nil when statically configured
-	dead    map[string]bool // nil when statically configured
 }
 
-func newShardSet(urls []string, bcfg server.BreakerConfig) *shardSet {
+func newShardSet(urls []string) *shardSet {
 	set := &shardSet{shards: make(map[string]*shard, len(urls))}
 	seen := map[string]bool{}
 	for _, u := range urls {
@@ -79,7 +71,7 @@ func newShardSet(urls []string, bcfg server.BreakerConfig) *shardSet {
 		}
 		seen[u] = true
 		set.urls = append(set.urls, u)
-		set.shards[u] = newShard(u, bcfg)
+		set.shards[u] = newShard(u)
 	}
 	return set
 }
@@ -87,19 +79,16 @@ func newShardSet(urls []string, bcfg server.BreakerConfig) *shardSet {
 // state renders one member's detector state for /statusz.
 func (set *shardSet) state(u string) string {
 	switch {
-	case set.dead[u]:
-		return "dead"
 	case set.suspect[u]:
 		return "suspect"
-	case set.suspect != nil || set.dead != nil:
+	case set.suspect != nil:
 		return "serving"
 	}
 	return "" // statically configured, no detector
 }
 
 // deprioritizeSuspects stably moves suspected members behind healthy
-// ones in a rendezvous order, reporting whether anything moved. Dead
-// members keep their position (launch skips them anyway).
+// ones in a rendezvous order, reporting whether anything moved.
 func (set *shardSet) deprioritizeSuspects(order []string) ([]string, bool) {
 	if len(set.suspect) == 0 {
 		return order, false
@@ -108,11 +97,11 @@ func (set *shardSet) deprioritizeSuspects(order []string) ([]string, bool) {
 	var suspects []string
 	moved := false
 	for _, u := range order {
-		if set.suspect[u] && !set.dead[u] {
+		if set.suspect[u] {
 			suspects = append(suspects, u)
 			continue
 		}
-		if len(suspects) > 0 && !set.dead[u] {
+		if len(suspects) > 0 {
 			moved = true // a healthy shard overtakes a suspect
 		}
 		healthy = append(healthy, u)

@@ -19,12 +19,11 @@ type ShardStatus struct {
 	// P50MS/P95MS summarize the recent latency ring (0 until samples
 	// exist); HedgeBudgetMS is the wait this shard currently earns
 	// before a hedge launches.
-	P50MS         float64              `json:"p50_ms"`
-	P95MS         float64              `json:"p95_ms"`
-	HedgeBudgetMS float64              `json:"hedge_budget_ms"`
-	Breaker       server.BreakerStatus `json:"breaker"`
+	P50MS         float64 `json:"p50_ms"`
+	P95MS         float64 `json:"p95_ms"`
+	HedgeBudgetMS float64 `json:"hedge_budget_ms"`
 	// State is the failure detector's verdict on this member
-	// (serving/suspect/dead; empty when statically configured).
+	// (serving/suspect; empty when statically configured).
 	State string `json:"state,omitempty"`
 }
 
@@ -62,13 +61,9 @@ type Status struct {
 	// shed and the max upstream Retry-After was relayed.
 	ShedFailovers     int64 `json:"shed_failovers"`
 	AllShardsShedding int64 `json:"all_shards_shedding"`
-	// HedgesSkippedDead counts launch candidates (primary, hedge, or
-	// failover slots) passed over because membership confirmed the
-	// shard dead — latency budget that was not spent probing a
-	// corpse. SuspectDeprioritized counts requests rerouted so a
-	// healthy shard overtook a suspected one. ViewApplies counts
+	// SuspectDeprioritized counts requests rerouted so a healthy
+	// shard overtook a suspected one. ViewApplies counts
 	// membership-driven shard-set rebuilds.
-	HedgesSkippedDead    int64 `json:"hedges_skipped_dead"`
 	SuspectDeprioritized int64 `json:"suspect_deprioritized"`
 	ViewApplies          int64 `json:"view_applies,omitempty"`
 
@@ -103,7 +98,6 @@ func (f *Front) StatusSnapshot() Status {
 		Failovers:            f.failovers.Load(),
 		ShedFailovers:        f.shedNexts.Load(),
 		AllShardsShedding:    f.allShed.Load(),
-		HedgesSkippedDead:    f.deadSkips.Load(),
 		SuspectDeprioritized: f.suspectDepri.Load(),
 		ViewApplies:          f.viewApplies.Load(),
 		Classes:              map[server.ErrClass]int64{},
@@ -120,7 +114,6 @@ func (f *Front) StatusSnapshot() Status {
 			st.Classes[c] = v
 		}
 	}
-	now := time.Now()
 	for _, u := range set.urls {
 		s := set.shards[u]
 		p50, _ := s.lat.Quantile(0.50)
@@ -132,7 +125,6 @@ func (f *Front) StatusSnapshot() Status {
 			P50MS:         float64(p50) / 1e6,
 			P95MS:         float64(p95) / 1e6,
 			HedgeBudgetMS: float64(s.hedgeBudget(f.cfg).Nanoseconds()) / 1e6,
-			Breaker:       s.breaker.Status(now),
 			State:         set.state(u),
 		})
 	}

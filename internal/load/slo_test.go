@@ -121,10 +121,6 @@ func TestOverloadSLOBursty(t *testing.T) {
 					QueueDepth:      8,
 					DefaultTimeout:  timeout,
 					RetryJitterSeed: uint64(seed),
-					// The queue rules are under test, not the breaker:
-					// require near-unanimous failures so breaker sheds
-					// don't dominate the goodput accounting.
-					Breaker: server.BreakerConfig{FailureRate: 0.95, MinSamples: 20},
 				})
 				if err != nil {
 					t.Fatal(err)

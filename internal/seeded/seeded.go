@@ -1,9 +1,9 @@
 // Package seeded holds the repository's two deterministic primitives:
 // the splitmix64 mixer and stream, and FNV-1a 64. Chaos and netchaos
-// plans, load schedules, breaker and Retry-After jitter, gossip probe
-// order, rendezvous placement and the branch predictor's function hash
-// all derive from these, and every seeded stream built on them is
-// frozen by golden-vector tests in its own package. Changing either
+// plans, load schedules, Retry-After jitter, gossip probe order,
+// rendezvous placement and the branch predictor's function hash all
+// derive from these, and every seeded stream built on them is frozen
+// by golden-vector tests in its own package. Changing either
 // function changes every replayed seed in the repository.
 package seeded
 

@@ -12,11 +12,10 @@ import (
 
 // ErrClass is the server's structured error taxonomy: every request
 // outcome — success included — maps into exactly one class, surfaced
-// in the JSON response body, the X-Hbserved-Class header, /statusz
-// counters, and the circuit-breaker health signal. The classes are
-// deliberately few: a client (or an operator's alert rule) decides
-// retry/fix/escalate from the class alone, without parsing error
-// strings.
+// in the JSON response body, the X-Hbserved-Class header, and the
+// /statusz counters. The classes are deliberately few: a client (or
+// an operator's alert rule) decides retry/fix/escalate from the class
+// alone, without parsing error strings.
 type ErrClass string
 
 const (
@@ -45,9 +44,8 @@ const (
 	ClassTimeout ErrClass = "timeout"
 	// ClassShed marks requests the server refused without running
 	// them to protect itself: admission queue full, queue age past
-	// budget, heap above the watermark, circuit breaker open, or
-	// drain in progress. Always safe to retry after the advertised
-	// Retry-After.
+	// budget, heap above the watermark, or drain in progress. Always
+	// safe to retry after the advertised Retry-After.
 	ClassShed ErrClass = "shed"
 	// ClassInternal is everything else: phase panics, watchdog
 	// aborts that did not reach quarantine, simulator errors on
@@ -86,21 +84,6 @@ func (c ErrClass) HTTPStatus() int {
 		return http.StatusTooManyRequests
 	default:
 		return http.StatusInternalServerError
-	}
-}
-
-// BreakerSignal reports how the class feeds the workload-class
-// circuit breaker: failure classes push it toward open, ok closes it,
-// and neutral classes (shed, invalid-input) say nothing about backend
-// health and are not recorded at all.
-func (c ErrClass) BreakerSignal() (failure, countable bool) {
-	switch c {
-	case ClassOK:
-		return false, true
-	case ClassDegraded, ClassQuarantined, ClassTimeout, ClassInternal:
-		return true, true
-	default:
-		return false, false
 	}
 }
 

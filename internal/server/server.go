@@ -2,11 +2,11 @@
 // long-running compile-and-simulate service with the full resilience
 // stack the batch CLIs never needed — bounded admission with
 // backpressure, per-request deadlines propagated end-to-end (front
-// end → formation checkpoints → simulator block polls), per-workload-
-// class circuit breakers, load shedding on a full queue, queue age
-// and heap watermarks, and graceful drain. Every outcome maps into one
-// structured error class (ErrClass); /healthz, /readyz and /statusz
-// expose liveness, admission state, and the full counter surface.
+// end → formation checkpoints → simulator block polls), load shedding
+// on a full queue, queue age and heap watermarks, and graceful drain.
+// Every outcome maps into one structured error class (ErrClass);
+// /healthz, /readyz and /statusz expose liveness, admission state, and
+// the full counter surface.
 //
 // The invariant the whole package is built around: every admitted
 // request receives exactly one terminal response. Workers send
@@ -65,8 +65,6 @@ type Config struct {
 	// long to finish before they are hard-canceled (cooperatively,
 	// through their contexts). <= 0: 10s.
 	DrainBudget time.Duration
-	// Breaker tunes the per-workload-class circuit breakers.
-	Breaker BreakerConfig
 	// ShardID names this node in /statusz and the X-Hbserved-Shard
 	// response header (cluster deployments; "" for standalone).
 	ShardID string
@@ -134,9 +132,9 @@ type Request struct {
 	// one must be set.
 	Workload string `json:"workload,omitempty"`
 	Source   string `json:"source,omitempty"`
-	// Class overrides the workload class used for circuit breaking
-	// and reporting (default: the workload name, or "adhoc" for
-	// inline source).
+	// Class labels the request's workload class, which the response
+	// echoes as workload_class (default: the workload name, or "adhoc"
+	// for inline source). The server keeps no per-class state.
 	Class string `json:"class,omitempty"`
 	// Ordering is the phase ordering (default "(IUPO)").
 	Ordering string `json:"ordering,omitempty"`
@@ -224,10 +222,9 @@ type task struct {
 
 // Server is the resilient compile-and-simulate service.
 type Server struct {
-	cfg      Config
-	eng      *engine.Engine
-	byName   map[string]*workloads.Workload
-	breakers *BreakerSet
+	cfg    Config
+	eng    *engine.Engine
+	byName map[string]*workloads.Workload
 
 	queue    chan *task
 	workerWG sync.WaitGroup
@@ -257,7 +254,6 @@ type Server struct {
 	shedFull  atomic.Int64 // shed: queue full
 	shedAge   atomic.Int64 // shed: waited over half its deadline
 	shedHeap  atomic.Int64 // shed: heap watermark
-	shedBrk   atomic.Int64 // shed: breaker open
 	shedDrain atomic.Int64 // shed: draining
 
 	drainOnce sync.Once
@@ -276,7 +272,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		eng:         cfg.Engine,
 		byName:      Catalog(),
-		breakers:    NewBreakerSet(cfg.Breaker),
 		queue:       make(chan *task, cfg.QueueDepth),
 		hardCtx:     hardCtx,
 		hardCancel:  hardCancel,
@@ -514,7 +509,7 @@ func (s *Server) buildJob(req Request) (engine.Job, string, *Response) {
 }
 
 // BuildJob validates a request against a workload catalog and
-// translates it into an engine job plus its breaker class. Validation
+// translates it into an engine job plus its workload class. Validation
 // failures return a ClassInvalidInput response. It is shared with the
 // front tier (internal/front), which must derive the same engine job
 // — and therefore the same content-addressed cache key — as the shard
@@ -611,8 +606,8 @@ func (s *Server) timeout(req Request) time.Duration {
 	return d
 }
 
-// handleJobs is POST /v1/jobs: validate, gate (drain, heap, breaker),
-// admit, wait for the one terminal response, feed the breaker.
+// handleJobs is POST /v1/jobs: validate, gate (drain, heap), admit,
+// wait for the one terminal response.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -644,13 +639,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.respond(w, shed(class, fmt.Sprintf("heap %d bytes above watermark %d", heap, heapWatermark), time.Second))
 		return
 	}
-	br := s.breakers.Get(class)
-	allowed, retryAfter := br.Allow(now)
-	if !allowed {
-		s.shedBrk.Add(1)
-		s.respond(w, shed(class, fmt.Sprintf("circuit breaker open for class %q", class), retryAfter))
-		return
-	}
 
 	t := &task{
 		job:      job,
@@ -662,26 +650,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	switch s.admit(t) {
 	case admitDraining:
-		br.ReleaseProbe()
 		s.shedDrain.Add(1)
 		s.respond(w, shed(class, "draining", s.cfg.DrainBudget))
 		return
 	case admitFull:
-		br.ReleaseProbe()
 		s.shedFull.Add(1)
 		s.respond(w, shed(class, fmt.Sprintf("admission queue full (%d)", s.cfg.QueueDepth), s.retryAfter(budget)))
 		return
 	}
-
-	resp := <-t.done
-	if failure, countable := resp.Class.BreakerSignal(); countable {
-		br.Record(time.Now(), failure)
-	} else {
-		// The task was shed after admission (queue age): the breaker
-		// learned nothing about the backend.
-		br.ReleaseProbe()
-	}
-	s.respond(w, resp)
+	s.respond(w, <-t.done)
 }
 
 // Status is the /statusz document.
@@ -703,8 +680,6 @@ type Status struct {
 	// the shed class down by cause.
 	Classes map[ErrClass]int64 `json:"classes"`
 	Shed    map[string]int64   `json:"shed"`
-	// Breakers snapshots every workload-class breaker.
-	Breakers map[string]BreakerStatus `json:"breakers"`
 	// Overload is the service-time estimate behind drain-rate
 	// Retry-After advice.
 	Overload OverloadStatus `json:"overload"`
@@ -751,10 +726,8 @@ func (s *Server) StatusSnapshot() Status {
 			"queue_full":     s.shedFull.Load(),
 			"queue_age":      s.shedAge.Load(),
 			"heap_watermark": s.shedHeap.Load(),
-			"breaker_open":   s.shedBrk.Load(),
 			"draining":       s.shedDrain.Load(),
 		},
-		Breakers: s.breakers.Status(time.Now()),
 		Overload: s.over.status(),
 		Cache:    s.eng.Cache().Stats(),
 		Store:    s.eng.Cache().StoreStats(),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -54,22 +55,6 @@ func TestErrClassTaxonomy(t *testing.T) {
 			t.Errorf("%s: HTTPStatus = %d, want %d", c, got, status)
 		}
 	}
-	// Breaker signals: ok counts as success, hard failures count as
-	// failures, shed/invalid say nothing.
-	for c, exp := range map[ErrClass][2]bool{
-		ClassOK:           {false, true},
-		ClassDegraded:     {true, true},
-		ClassQuarantined:  {true, true},
-		ClassTimeout:      {true, true},
-		ClassInternal:     {true, true},
-		ClassShed:         {false, false},
-		ClassInvalidInput: {false, false},
-	} {
-		fail, count := c.BreakerSignal()
-		if fail != exp[0] || count != exp[1] {
-			t.Errorf("%s: BreakerSignal = (%v,%v), want (%v,%v)", c, fail, count, exp[0], exp[1])
-		}
-	}
 }
 
 func TestClassify(t *testing.T) {
@@ -100,97 +85,6 @@ func TestClassify(t *testing.T) {
 	for _, c := range cases {
 		if got := Classify(c.res); got != c.want {
 			t.Errorf("%s: Classify = %s, want %s", c.name, got, c.want)
-		}
-	}
-}
-
-// --- breaker state machine ---
-
-func TestBreakerStateMachine(t *testing.T) {
-	cfg := BreakerConfig{
-		Window: 8, MinSamples: 2, FailureRate: 0.5,
-		Backoff: 100 * time.Millisecond, MaxBackoff: time.Second,
-		HalfOpenProbes: 2, JitterSeed: 7,
-	}
-	b := NewBreaker(cfg, 1)
-	now := time.Unix(1000, 0)
-
-	if ok, _ := b.Allow(now); !ok {
-		t.Fatal("fresh breaker must admit")
-	}
-	b.Record(now, true)
-	if st := b.Status(now); st.State != BreakerClosed {
-		t.Fatalf("one failure below MinSamples must not trip (state %s)", st.State)
-	}
-	b.Record(now, true)
-	st := b.Status(now)
-	if st.State != BreakerOpen || st.Opens != 1 {
-		t.Fatalf("2/2 failures at MinSamples=2 must open: %+v", st)
-	}
-	if ok, ra := b.Allow(now); ok || ra <= 0 {
-		t.Fatalf("open breaker must reject with retry-after, got ok=%v ra=%v", ok, ra)
-	}
-	if _, ra := b.Allow(b.reopenAt.Add(-time.Microsecond)); ra.Milliseconds() < 1 {
-		t.Fatalf("retry-after %v just before half-open renders as 0ms", ra)
-	}
-
-	// Jitter is bounded in [0.5x, 1.5x); past that the breaker must
-	// half-open and admit exactly one probe.
-	later := now.Add(150 * time.Millisecond)
-	ok, _ := b.Allow(later)
-	if !ok {
-		t.Fatalf("breaker must half-open after max backoff; status %+v", b.Status(later))
-	}
-	if st := b.Status(later); st.State != BreakerHalfOpen || st.HalfOpens != 1 {
-		t.Fatalf("expected half-open: %+v", st)
-	}
-	if ok, _ := b.Allow(later); ok {
-		t.Fatal("second concurrent probe must be rejected")
-	}
-	// A probe that never executed must release its slot.
-	b.ReleaseProbe()
-	if ok, _ := b.Allow(later); !ok {
-		t.Fatal("released probe slot must re-admit")
-	}
-
-	// HalfOpenProbes=2: first success keeps half-open, second closes.
-	b.Record(later, false)
-	if st := b.Status(later); st.State != BreakerHalfOpen {
-		t.Fatalf("one of two probes must not close: %+v", st)
-	}
-	if ok, _ := b.Allow(later); !ok {
-		t.Fatal("next probe must be admitted")
-	}
-	b.Record(later, false)
-	if st := b.Status(later); st.State != BreakerClosed || st.Closes != 1 {
-		t.Fatalf("second probe success must close: %+v", st)
-	}
-
-	// Reopen from half-open on probe failure, with doubled backoff.
-	b.Record(later, true)
-	b.Record(later, true)
-	if st := b.Status(later); st.State != BreakerOpen || st.Opens != 2 {
-		t.Fatalf("must reopen: %+v", st)
-	}
-	probeAt := later.Add(350 * time.Millisecond) // > 1.5 * 2*Backoff
-	if ok, _ := b.Allow(probeAt); !ok {
-		t.Fatal("must half-open again")
-	}
-	b.Record(probeAt, true)
-	st = b.Status(probeAt)
-	if st.State != BreakerOpen || st.Opens != 3 {
-		t.Fatalf("probe failure must reopen immediately: %+v", st)
-	}
-}
-
-func TestBreakerJitterDeterministic(t *testing.T) {
-	mk := func() *Breaker {
-		return NewBreaker(BreakerConfig{JitterSeed: 42}, 9)
-	}
-	a, b := mk(), mk()
-	for i := 0; i < 16; i++ {
-		if x, y := a.backoff(), b.backoff(); x != y {
-			t.Fatalf("jitter stream diverged at %d: %v vs %v", i, x, y)
 		}
 	}
 }
@@ -378,75 +272,42 @@ func TestServerQueueFullSheds(t *testing.T) {
 	}
 }
 
-// driveBreakerCycle pushes the "flaky" class breaker through a full
-// open → half-open → close cycle using real requests: guaranteed
-// timeouts to trip it, then fast successes to recover it.
-func driveBreakerCycle(t *testing.T, e *testServer) {
-	t.Helper()
-	fail := Request{
-		Source: busySrc, Sim: "timing", Args: []int64{1 << 40},
-		TimeoutMS: 30, Class: "flaky",
-	}
-	okReq := Request{Source: fastSrc, Sim: "timing", TimeoutMS: 10000, Class: "flaky"}
-
-	br := e.s.breakers.Get("flaky")
-	deadline := time.Now().Add(15 * time.Second)
-	for br.Status(time.Now()).Opens == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened: %+v", br.Status(time.Now()))
-		}
-		resp, _ := e.post(fail)
-		if resp.Class != ClassTimeout && resp.Class != ClassShed {
-			t.Fatalf("trip request: unexpected class %s (%s)", resp.Class, resp.Error)
+// TestClassNamesNotRetained: a request's class is a client-chosen
+// label the response echoes. The server keeps nothing per class, so
+// /statusz does not grow with every class a client invents.
+func TestClassNamesNotRetained(t *testing.T) {
+	e := newTestServer(t, Config{Workers: 2})
+	var classes []string
+	for i := 0; i < 100; i++ {
+		class := fmt.Sprintf("client-class-%03d", i)
+		classes = append(classes, class)
+		resp, _ := e.post(Request{Source: fastSrc, Class: class})
+		if resp.Class != ClassOK || resp.ClassName != class {
+			t.Fatalf("request %d: class %s workload_class %q (%s), want ok and %q",
+				i, resp.Class, resp.ClassName, resp.Error, class)
 		}
 	}
-	// While open, requests of the class are shed without running.
-	resp, _ := e.post(okReq)
-	if resp.Class != ClassShed {
-		t.Fatalf("open breaker admitted a request: %s", resp.Class)
+	hr, err := http.Get(e.ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Recover: wait out the (jittered) backoff, probe with successes
-	// until it closes.
-	for br.Status(time.Now()).Closes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed: %+v", br.Status(time.Now()))
-		}
-		resp, _ := e.post(okReq)
-		if resp.Class == ClassShed {
-			time.Sleep(15 * time.Millisecond)
-			continue
-		}
-		if resp.Class != ClassOK {
-			t.Fatalf("probe: unexpected class %s (%s)", resp.Class, resp.Error)
+	defer hr.Body.Close()
+	raw, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range classes {
+		if bytes.Contains(raw, []byte(class)) {
+			t.Fatalf("/statusz retains client class %q:\n%s", class, raw)
 		}
 	}
-	st := br.Status(time.Now())
-	if st.Opens < 1 || st.HalfOpens < 1 || st.Closes < 1 {
-		t.Fatalf("incomplete breaker cycle: %+v", st)
-	}
-	// Closed again: unrelated classes were never affected.
-	if got := e.s.breakers.Get("flaky").Status(time.Now()).State; got != BreakerClosed {
-		t.Fatalf("breaker not closed after recovery: %s", got)
-	}
-}
-
-func TestServerBreakerCycle(t *testing.T) {
-	e := newTestServer(t, Config{
-		Breaker: BreakerConfig{
-			Window: 8, MinSamples: 3, FailureRate: 0.5,
-			Backoff: 40 * time.Millisecond, MaxBackoff: 200 * time.Millisecond,
-			JitterSeed: 1,
-		},
-	})
-	driveBreakerCycle(t, e)
 }
 
 // TestServerChaosUnderLoad is the tentpole acceptance test: concurrent
 // requests against a chaos-armed engine at four seeds, asserting that
 // every submit gets exactly one terminal response with a valid class,
-// that a breaker completes an open/half-open/close cycle, that drain
-// finishes within budget while requests are still arriving, and that
-// no goroutines leak.
+// that drain finishes within budget while requests are still arriving,
+// and that no goroutines leak.
 func TestServerChaosUnderLoad(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -457,11 +318,6 @@ func TestServerChaosUnderLoad(t *testing.T) {
 				Engine: eng, Workers: 4, QueueDepth: 32,
 				DefaultTimeout: 3 * time.Second, MaxTimeout: 30 * time.Second,
 				DrainBudget: 500 * time.Millisecond,
-				Breaker: BreakerConfig{
-					Window: 8, MinSamples: 3, FailureRate: 0.5,
-					Backoff: 40 * time.Millisecond, MaxBackoff: 200 * time.Millisecond,
-					JitterSeed: seed,
-				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -506,10 +362,7 @@ func TestServerChaosUnderLoad(t *testing.T) {
 				t.Fatalf("mixed burst should produce invalid-input and timeout classes: %v", classes)
 			}
 
-			// Phase 2: a full breaker cycle under the same chaos plan.
-			driveBreakerCycle(t, e)
-
-			// Phase 3: drain while slow requests are in flight and new
+			// Phase 2: drain while slow requests are in flight and new
 			// ones keep arriving. Every in-flight request must still
 			// get its one terminal response (hard-canceled past the
 			// budget → timeout class), and late arrivals are shed.

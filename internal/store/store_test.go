@@ -87,9 +87,11 @@ func TestValidKey(t *testing.T) {
 
 // TestRank checks the rendezvous properties routing depends on:
 // determinism, full permutation, spread across nodes, and minimal
-// disruption when a node leaves.
+// disruption when a node leaves. The front ranks only the serving
+// members of a membership view, so removing any one node, whatever its
+// rank, must leave the relative order of all the others unchanged.
 func TestRank(t *testing.T) {
-	nodes := []string{"http://a", "http://b", "http://c"}
+	nodes := []string{"http://a", "http://b", "http://c", "http://d", "http://e"}
 	first := map[string]int{}
 	for i := 0; i < 200; i++ {
 		k := key(i)
@@ -105,15 +107,17 @@ func TestRank(t *testing.T) {
 		}
 		first[order[0]]++
 
-		// Removing a non-primary node must not change the primary.
-		var without []string
-		for _, n := range nodes {
-			if n != order[2] {
-				without = append(without, n)
+		for r, gone := range order {
+			var without []string
+			for _, n := range nodes {
+				if n != gone {
+					without = append(without, n)
+				}
 			}
-		}
-		if got := Rank(k, without)[0]; got != order[0] {
-			t.Fatalf("removing last-choice node moved primary: %s -> %s", order[0], got)
+			want := append(append([]string{}, order[:r]...), order[r+1:]...)
+			if got := Rank(k, without); strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Fatalf("%s: removing rank-%d node %s reordered the rest: %v, want %v", k, r, gone, got, want)
+			}
 		}
 	}
 	for _, n := range nodes {

@@ -286,10 +286,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	// Short breaker backoffs everywhere: the run must watch breakers
-	// reclose after the fault window, not wait out production timers.
-	brk := server.BreakerConfig{Backoff: 200 * time.Millisecond, MaxBackoff: time.Second}
-
 	// --- Boot the farm -------------------------------------------------
 	// Listener first (addresses seed the injectors and the gossip),
 	// then the stack per shard: local store → membership-driven peer
@@ -353,7 +349,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			Sweeper:        n.sweeper,
 			Cluster:        cl,
 			InjectedFaults: func() any { return inj.Stats() },
-			Breaker:        brk,
 			DefaultTimeout: cfg.RequestTimeout,
 			MaxTimeout:     2 * cfg.RequestTimeout,
 		})
@@ -396,7 +391,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// The front runs a membership observer: it probes the ring and
 	// maintains a view like a member, but never announces itself.
 	// Routing, hedging, and shed-walking re-derive from the view on
-	// every change (dead shards skipped, suspects deprioritized).
+	// every change (dead shards dropped, suspects deprioritized).
 	frontInj := netchaos.New(cfg.Plan, "front")
 	injectors = append(injectors, frontInj)
 	obs, err := cluster.New(cluster.Config{
@@ -414,7 +409,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	f, err := front.New(front.Config{
 		Shards:         urls,
 		Client:         &http.Client{Transport: frontInj.Transport(nil)},
-		Breaker:        brk,
 		HedgeAfter:     50 * time.Millisecond,
 		DefaultTimeout: cfg.RequestTimeout,
 		MaxTimeout:     2 * cfg.RequestTimeout,
@@ -719,8 +713,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 		}
 	}
-	// Give reopened breakers a beat past their short backoff.
-	time.Sleep(400 * time.Millisecond)
 	deadline := time.Now().Add(2 * cfg.RequestTimeout)
 	for k := 0; k < cfg.Keys; k++ {
 		var resp server.Response

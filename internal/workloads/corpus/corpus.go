@@ -6,13 +6,12 @@
 // under a stable per-cluster ID.
 //
 // The cluster ID is the serving system's workload class: the load
-// driver stamps it on every request, the server's per-class circuit
-// breakers, service-time estimators, and weighted shedding key on it,
-// and load reports break goodput and latency down by it. Because the
-// ID is a pure function of one program's shape — never of corpus
-// composition — the same program classifies identically on every
-// node and in every corpus size, so class-keyed state stays coherent
-// across a fleet.
+// driver stamps it on every request, the server echoes it in each
+// response, and load reports break goodput and latency down by it.
+// Because the ID is a pure function of one program's shape — never of
+// corpus composition — the same program classifies identically on
+// every node and in every corpus size, so per-class reports stay
+// comparable across a fleet.
 package corpus
 
 import (
