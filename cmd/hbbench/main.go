@@ -7,8 +7,8 @@
 //	        [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //
 // With -compare, the exit status is 1 when any benchmark exceeds its
-// allocation budget (exact — the steady state either allocates or it
-// does not) or regresses ns/op past the baseline by more than -tol
+// allocation budget (see perf.Spec.AllocBudget) or regresses ns/op
+// past the baseline by more than -tol
 // (generous by default, so wall-time noise does not flake CI).
 package main
 

@@ -85,11 +85,11 @@ func TestDominators(t *testing.T) {
 		"B": "A", "CD": "B", "E": "CD", "FG": "E", "H": "FG", "I": "H",
 	}
 	for b, w := range wantIdom {
-		if got := dom.Idom[bs[b]]; got != bs[w] {
+		if got := dom.Idom(bs[b]); got != bs[w] {
 			t.Errorf("idom(%s) = %v, want %s", b, got, w)
 		}
 	}
-	if dom.Idom[bs["A"]] != nil {
+	if dom.Idom(bs["A"]) != nil {
 		t.Error("entry idom must be nil")
 	}
 	if !dom.Dominates(bs["B"], bs["I"]) {
@@ -136,8 +136,8 @@ func TestLoops(t *testing.T) {
 	if len(outer.Children) != 2 {
 		t.Fatalf("outer loop should contain 2 inner loops, got %d", len(outer.Children))
 	}
-	cd := lf.ByHeader[bs["CD"]]
-	fg := lf.ByHeader[bs["FG"]]
+	cd := lf.ByHeader(bs["CD"])
+	fg := lf.ByHeader(bs["FG"])
 	if cd == nil || fg == nil {
 		t.Fatal("missing inner loops")
 	}
@@ -199,7 +199,7 @@ func TestSelfLoopAndUnreachable(t *testing.T) {
 		t.Fatalf("unreachable block included: %v", rpo)
 	}
 	lf := Loops(f)
-	loop := lf.ByHeader[l]
+	loop := lf.ByHeader(l)
 	if loop == nil || len(loop.Blocks) != 1 {
 		t.Fatal("self-loop body must be the header only")
 	}

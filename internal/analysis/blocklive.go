@@ -5,8 +5,8 @@ import "repro/internal/ir"
 // BlockLiveness answers exact liveness queries for one block, the seed
 // of a hyperblock under construction, while merges rewrite that
 // block's body and out-edges in place. It is built once from the
-// whole-function solution of the committed function; each query then
-// solves only the seed's strongly connected component.
+// whole-function solution of the committed function; a query then
+// costs the seed's instructions and one set operation per successor.
 //
 // Why the answer is exact. Let R be the blocks that can reach the seed
 // when the solver is built. A path's first arrival at the seed uses no
@@ -14,83 +14,72 @@ import "repro/internal/ir"
 // change R. Neither does deleting a block whose only predecessor is
 // the seed (a plain merge: every path through it has already arrived
 // at the seed) or a block no live block reaches (RemoveUnreachable).
-// Liveness at a block depends only on the blocks it reaches. A block
-// the seed reaches that is outside R never reaches the seed, so
-// nothing it reaches has changed, and its live-in set is still the
-// one computed at build time. The blocks the seed reaches inside R
-// form its strongly connected component; the least fixpoint over
-// them, with those live-in sets as boundary values, is what
-// ComputeLiveness returns for the seed.
+// Liveness at a block depends only on the blocks it reaches. A
+// successor of the seed outside R never reaches the seed, so nothing
+// it reaches has changed, and its live-in set is still the one
+// computed at build time.
+//
+// A successor t inside R reaches the seed, and no block it reaches
+// before arriving there has changed. Liveness is distributive, so as
+// a function of the seed's live-in set X, t's live-in set is
+// K[t] ∪ (X ∩ P[t]): K[t] is its live-in set were X empty, and P[t]
+// holds the registers some path from t to the seed leaves undefined.
+// Both are fixed while the hyperblock grows; they are solved once,
+// over the blocks of R the seed's successors reach. With K and P the
+// unions over the seed's successors (a self-loop adds every register
+// to P), the seed's live-out set is the least solution of
+// out = K ∪ ((UE ∪ (out − Kill)) ∩ P), which is
+// K ∪ ((UE ∪ (K − Kill)) ∩ P) — what ComputeLiveness returns for the
+// seed. Registers created after the build are defined only in the
+// seed, so every path leaves them undefined: P covers them for every
+// block of R.
 //
 // Adding blocks (a basic-block split) can change R, so it needs a new
 // solver; Solve panics if the function has gained blocks since.
 type BlockLiveness struct {
 	f     *ir.Function
 	seed  *ir.Block
-	base  *Liveness
-	bound int    // f.BlockIDBound() at build time
-	inR   []bool // by block ID: the block can reach the seed
+	base  *liveSets
+	bound int           // f.BlockIDBound() at build time
+	words int           // set width at build time
+	inR   []bool        // by block ID: the block can reach the seed
+	succs [][]*ir.Block // by block ID, at build time
+	preds [][]*ir.Block // by block ID, at build time
 
-	// Per-query scratch, kept to avoid reallocating. pos maps a block
-	// ID to 1 + its index in comp (-1 while on the DFS stack, 0 when
-	// unvisited; reset to 0 after every query).
-	pos    []int32
-	comp   []*ir.Block // the seed's component, in postorder
-	span   [][2]int32  // per comp block: its successors' range in succ
+	// By block ID, for the blocks of R solved so far: K and P above.
+	k, p []RegSet
+
+	// Scratch, kept to avoid reallocating.
+	sets   RegSet // a query's Kill and P
+	region []*ir.Block
+	stack  []*ir.Block
+	queued []bool // by block ID: on the worklist
 	succ   []*ir.Block
-	frames []blFrame
-	arena  []uint64 // backs every set below
-	in     []RegSet // per comp block
-	out    []RegSet
-	ues    []RegSet
-	kills  []RegSet
 	buf    []ir.Reg
 }
 
-type blFrame struct {
-	b            *ir.Block
-	lo, hi, next int32 // successor range in succ, and the next to visit
-}
-
-// NewBlockLiveness prepares liveness queries for seed. lv must be
-// ComputeLiveness(f) of f as it is now, and seed must be reachable
-// from the entry.
-func NewBlockLiveness(f *ir.Function, lv *Liveness, seed *ir.Block) *BlockLiveness {
+// newBlockLiveness prepares liveness queries for seed, which must be
+// reachable from the entry; base is the liveness of f as it is now.
+func newBlockLiveness(f *ir.Function, base *liveSets, seed *ir.Block) *BlockLiveness {
 	bound := f.BlockIDBound()
 	succs := succLists(f)
-	// Predecessor lists in one flat array: preds[start[id]:start[id+1]].
-	start := make([]int32, bound+1)
-	for _, b := range f.Blocks {
-		for _, s := range succs[b.ID] {
-			start[s.ID+1]++
-		}
-	}
-	for i := 1; i <= bound; i++ {
-		start[i] += start[i-1]
-	}
-	preds := make([]*ir.Block, start[bound])
-	fill := append([]int32(nil), start[:bound]...)
-	for _, b := range f.Blocks {
-		for _, s := range succs[b.ID] {
-			preds[fill[s.ID]] = b
-			fill[s.ID]++
-		}
-	}
+	preds := predLists(f.Blocks, succs, bound)
 	inR := make([]bool, bound)
 	inR[seed.ID] = true
 	stack := []*ir.Block{seed}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range preds[start[b.ID]:start[b.ID+1]] {
+		for _, p := range preds[b.ID] {
 			if !inR[p.ID] {
 				inR[p.ID] = true
 				stack = append(stack, p)
 			}
 		}
 	}
-	return &BlockLiveness{f: f, seed: seed, base: lv, bound: bound, inR: inR,
-		pos: make([]int32, bound)}
+	return &BlockLiveness{f: f, seed: seed, base: base, bound: bound,
+		words: (f.NumRegs() + 63) / 64, inR: inR, succs: succs, preds: preds,
+		k: make([]RegSet, bound), p: make([]RegSet, bound), queued: make([]bool, bound)}
 }
 
 // Seed returns the block the solver answers for.
@@ -103,103 +92,124 @@ func (l *BlockLiveness) Solve() (out, ue RegSet) {
 	if l.f.BlockIDBound() != l.bound {
 		panic("analysis: BlockLiveness queried after blocks were added; build a new one")
 	}
-	// Depth-first search from the seed, staying inside R.
-	l.comp, l.span, l.succ, l.frames = l.comp[:0], l.span[:0], l.succ[:0], l.frames[:0]
-	l.push(l.seed)
-	for len(l.frames) > 0 {
-		fr := &l.frames[len(l.frames)-1]
-		if fr.next < fr.hi {
-			s := l.succ[fr.next]
-			fr.next++
-			if l.inR[s.ID] && l.pos[s.ID] == 0 {
-				l.push(s)
-			}
-			continue
-		}
-		l.comp = append(l.comp, fr.b)
-		l.span = append(l.span, [2]int32{fr.lo, fr.hi})
-		l.pos[fr.b.ID] = int32(len(l.comp))
-		l.frames = l.frames[:len(l.frames)-1]
-	}
-
-	n := len(l.comp)
 	words := (l.f.NumRegs() + 63) / 64
-	if size := (2*n + 3) * words; cap(l.arena) < size {
-		l.arena = make([]uint64, size)
-	} else {
-		l.arena = l.arena[:size]
-		clear(l.arena)
+	fresh := make(RegSet, 2*words)
+	out, ue = fresh[:words:words], fresh[words:]
+	if cap(l.sets) < 2*words {
+		l.sets = make(RegSet, 2*words)
 	}
-	arena := l.arena
-	take := func() RegSet {
-		s := RegSet(arena[:words:words])
-		arena = arena[words:]
-		return s
-	}
-	ue, kill, tmp := take(), take(), take()
+	l.sets = l.sets[:2*words]
+	clear(l.sets)
+	kill, P := l.sets[:words], l.sets[words:]
 	l.buf = summarize(l.seed, ue, kill, l.buf)
-	l.in, l.out = l.in[:0], l.out[:0]
-	l.ues, l.kills = l.ues[:0], l.kills[:0]
-	for i, b := range l.comp {
-		l.in, l.out = append(l.in, take()), append(l.out, take())
-		bue, bkill := ue, kill
-		if b != l.seed {
-			// Only the seed's body changes, so every other block's
-			// summary is still the base solution's.
-			var ok bool
-			if bue, ok = l.base.UEVar[b]; !ok {
-				panic(notInBase(b))
+
+	// K and P over the seed's successors; out holds K.
+	l.succ = l.seed.SuccsAppend(l.succ[:0])
+	for _, t := range l.succ {
+		switch {
+		case t == l.seed:
+			fill(P)
+		case l.inR[t.ID]:
+			l.solveR(t)
+			out.UnionWith(l.k[t.ID])
+			P.UnionWith(l.p[t.ID])
+			if words > l.words {
+				fill(P[l.words:]) // registers created since the build
 			}
-			bkill = l.base.Kill[b]
-		}
-		l.ues, l.kills = append(l.ues, bue), append(l.kills, bkill)
-		// Successors outside the component never reach the seed:
-		// their live-in sets are constant, the base solution's.
-		for _, s := range l.succ[l.span[i][0]:l.span[i][1]] {
-			if l.pos[s.ID] > 0 {
-				continue
+		default:
+			in := l.base.in[t.ID]
+			if in == nil {
+				panic(notInBase(t))
 			}
-			sin, ok := l.base.In[s]
-			if !ok {
-				panic(notInBase(s))
-			}
-			l.out[i].UnionWith(sin)
+			out.UnionWith(in)
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range l.comp {
-			out := l.out[i]
-			for _, s := range l.succ[l.span[i][0]:l.span[i][1]] {
-				if p := l.pos[s.ID]; p > 0 && out.UnionWith(l.in[p-1]) {
-					changed = true
-				}
-			}
-			// in = UEVar ∪ (out − kill)
-			copy(tmp, out)
-			for j, k := range l.kills[i] {
-				tmp[j] &^= k
-			}
-			for j, u := range l.ues[i] {
-				tmp[j] |= u
-			}
-			if unionInto(l.in[i], tmp) {
-				changed = true
-			}
-		}
+	// out = K ∪ ((UE ∪ (K − Kill)) ∩ P)
+	for i, k := range out {
+		out[i] = k | ((ue[i] | k&^kill[i]) & P[i])
 	}
-	for _, b := range l.comp {
-		l.pos[b.ID] = 0
-	}
-	return l.out[n-1].Copy(), ue.Copy()
+	return out, ue
 }
 
-// push opens a DFS frame for b with its distinct successors.
-func (l *BlockLiveness) push(b *ir.Block) {
-	l.pos[b.ID] = -1
-	lo := int32(len(l.succ))
-	l.succ = b.SuccsAppend(l.succ)
-	l.frames = append(l.frames, blFrame{b: b, lo: lo, hi: int32(len(l.succ)), next: lo})
+// solveR computes K and P for t and every block of R it reaches
+// before the seed, unless they are known already.
+func (l *BlockLiveness) solveR(t *ir.Block) {
+	if l.k[t.ID] != nil {
+		return
+	}
+	// The blocks to solve: those of R that t reaches without passing
+	// the seed, minus the ones solved by earlier queries (whatever
+	// those reach is solved too).
+	region := append(l.region[:0], t)
+	l.queued[t.ID] = true
+	for i := 0; i < len(region); i++ {
+		for _, u := range l.succs[region[i].ID] {
+			if u != l.seed && l.inR[u.ID] && l.k[u.ID] == nil && !l.queued[u.ID] {
+				l.queued[u.ID] = true
+				region = append(region, u)
+			}
+		}
+	}
+	w := l.words
+	arena := make([]uint64, 2*w*(len(region)+1))
+	outK, outP := RegSet(arena[:w]), RegSet(arena[w:2*w])
+	arena = arena[2*w:]
+	for _, b := range region {
+		l.k[b.ID], l.p[b.ID] = arena[:w:w], arena[w:2*w:2*w]
+		arena = arena[2*w:]
+	}
+	// Worklist to the least fixpoint, starting from the blocks found
+	// last; a block whose sets grow requeues its predecessors in the
+	// region.
+	stack := append(l.stack[:0], region...)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		l.queued[b.ID] = false
+		clear(outK)
+		clear(outP)
+		for _, u := range l.succs[b.ID] {
+			switch {
+			case u == l.seed:
+				fill(outP)
+			case l.inR[u.ID]:
+				outK.UnionWith(l.k[u.ID])
+				outP.UnionWith(l.p[u.ID])
+			default:
+				outK.UnionWith(l.base.in[u.ID])
+			}
+		}
+		ue, kill := l.base.ue[b.ID], l.base.kill[b.ID]
+		k, p := l.k[b.ID], l.p[b.ID]
+		grew := false
+		for i := range k {
+			nk := k[i] | ue[i] | outK[i]&^kill[i]
+			np := p[i] | outP[i]&^kill[i]
+			if nk != k[i] || np != p[i] {
+				k[i], p[i] = nk, np
+				grew = true
+			}
+		}
+		if !grew {
+			continue
+		}
+		for _, q := range l.preds[b.ID] {
+			// Solved blocks outside the region never reach it, so every
+			// predecessor with sets is in the region.
+			if q != l.seed && l.k[q.ID] != nil && !l.queued[q.ID] {
+				l.queued[q.ID] = true
+				stack = append(stack, q)
+			}
+		}
+	}
+	l.region, l.stack = region[:0], stack
+}
+
+// fill adds every register the words of s can hold.
+func fill(s RegSet) {
+	for i := range s {
+		s[i] = ^uint64(0)
+	}
 }
 
 func notInBase(b *ir.Block) string {

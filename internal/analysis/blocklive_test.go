@@ -115,11 +115,37 @@ func TestBlockLivenessMatchesComputeLiveness(t *testing.T) {
 		for _, b := range rpo {
 			reached[b] = true
 		}
-		bl := NewBlockLiveness(f, ComputeLiveness(f), seed)
+		bl := new(Cache).BlockLiveness(f, seed)
 		checkBlockLiveness(t, bl, f, seed, "before any merge")
 		for m := 0; m < 4; m++ {
 			regs = mergeInto(&rng, f, seed, regs, reached)
 			checkBlockLiveness(t, bl, f, seed, "after a merge")
+		}
+	}
+}
+
+// Property: registers created after the solver was built, past the
+// set width it was built with, flow through the blocks that reach the
+// seed exactly as ComputeLiveness says.
+func TestBlockLivenessNewRegisterWords(t *testing.T) {
+	rng := seeded.Stream(3)
+	for trial := 0; trial < 1000; trial++ {
+		f, regs := randomCFG(&rng, 1+randInt(&rng, 10))
+		rpo := ReversePostorder(f)
+		seed := rpo[randInt(&rng, len(rpo))]
+		reached := map[*ir.Block]bool{}
+		for _, b := range rpo {
+			reached[b] = true
+		}
+		bl := new(Cache).BlockLiveness(f, seed)
+		var fresh []ir.Reg
+		for len(fresh) < 70 {
+			fresh = append(fresh, f.NewReg())
+		}
+		regs = fresh[len(fresh)-4:] // all past the first 64-bit word
+		for m := 0; m < 4; m++ {
+			regs = mergeInto(&rng, f, seed, regs, reached)
+			checkBlockLiveness(t, bl, f, seed, "after a merge over new registers")
 		}
 	}
 }
@@ -130,7 +156,7 @@ func TestBlockLivenessMatchesComputeLiveness(t *testing.T) {
 func TestBlockLivenessSplitNeedsReset(t *testing.T) {
 	f, bs := buildLoopNest(t)
 	seed, body := bs["CD"], bs["E"]
-	bl := NewBlockLiveness(f, ComputeLiveness(f), seed)
+	bl := new(Cache).BlockLiveness(f, seed)
 	checkBlockLiveness(t, bl, f, seed, "before the split")
 
 	// Split E the way core.SplitOversizeCandidate does: its
@@ -149,7 +175,7 @@ func TestBlockLivenessSplitNeedsReset(t *testing.T) {
 		}()
 		bl.Solve()
 	}()
-	fresh := NewBlockLiveness(f, ComputeLiveness(f), seed)
+	fresh := new(Cache).BlockLiveness(f, seed)
 	if nb.ID < len(bl.inR) || !fresh.inR[nb.ID] {
 		t.Fatalf("the split block reaches the seed: stale R covers %d IDs, fresh inR[%d] = %v",
 			len(bl.inR), nb.ID, fresh.inR[nb.ID])

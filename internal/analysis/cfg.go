@@ -38,12 +38,20 @@ func succLists(f *ir.Function) [][]*ir.Block {
 // identical instruction-for-instruction to the original recursive
 // implementation.
 func ReversePostorder(f *ir.Function) []*ir.Block {
+	order, _ := reversePostorder(f)
+	return order
+}
+
+// reversePostorder is ReversePostorder, also returning the successor
+// lists it walked (succLists(f)) so callers need not rescan the
+// instructions.
+func reversePostorder(f *ir.Function) ([]*ir.Block, [][]*ir.Block) {
+	succs := succLists(f)
 	e := f.Entry()
 	if e == nil {
-		return nil
+		return nil, succs
 	}
 	seen := make([]bool, f.BlockIDBound())
-	succs := succLists(f)
 	order := make([]*ir.Block, 0, len(f.Blocks))
 	type dfsFrame struct {
 		b *ir.Block
@@ -70,16 +78,59 @@ func ReversePostorder(f *ir.Function) []*ir.Block {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	return order
+	return order, succs
 }
 
-// Postorder returns reachable blocks in postorder.
-func Postorder(f *ir.Function) []*ir.Block {
-	rpo := ReversePostorder(f)
-	for i, j := 0, len(rpo)-1; i < j; i, j = i+1, j-1 {
-		rpo[i], rpo[j] = rpo[j], rpo[i]
+// cfgIndex is the reachable part of a function's CFG indexed by block
+// ID. One is built per analysis rebuild, from a reverse postorder and
+// the successor lists that walked it, and the dominator tree and the
+// loop forest both read it.
+type cfgIndex struct {
+	order []*ir.Block   // reverse postorder of the reachable blocks
+	pos   []int32       // by block ID: index in order, -1 if unreachable
+	succs [][]*ir.Block // by block ID: distinct successors
+	preds [][]*ir.Block // by block ID: predecessors, in reverse postorder
+}
+
+// newCFGIndex indexes f's reachable CFG; order and succs are what
+// reversePostorder(f) returned.
+func newCFGIndex(f *ir.Function, order []*ir.Block, succs [][]*ir.Block) *cfgIndex {
+	bound := f.BlockIDBound()
+	pos := make([]int32, bound)
+	for i := range pos {
+		pos[i] = -1
 	}
-	return rpo
+	for i, b := range order {
+		pos[b.ID] = int32(i)
+	}
+	return &cfgIndex{order: order, pos: pos, succs: succs, preds: predLists(order, succs, bound)}
+}
+
+// predLists returns, by block ID, the predecessors among blocks (in
+// their order) given the successor lists by block ID. The lists share
+// one flat array, each capped at its own end, so an append to one
+// (Cache.Merged) reallocates it instead of overwriting its neighbour.
+func predLists(blocks []*ir.Block, succs [][]*ir.Block, bound int) [][]*ir.Block {
+	start := make([]int32, bound+1)
+	for _, b := range blocks {
+		for _, s := range succs[b.ID] {
+			start[s.ID+1]++
+		}
+	}
+	for i := 1; i <= bound; i++ {
+		start[i] += start[i-1]
+	}
+	arena := make([]*ir.Block, start[bound])
+	preds := make([][]*ir.Block, bound)
+	for id := range preds {
+		preds[id] = arena[start[id]:start[id]:start[id+1]]
+	}
+	for _, b := range blocks {
+		for _, s := range succs[b.ID] {
+			preds[s.ID] = append(preds[s.ID], b)
+		}
+	}
+	return preds
 }
 
 // EdgeCount returns the number of distinct CFG edges (p, s) in f.

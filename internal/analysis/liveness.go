@@ -102,6 +102,12 @@ type Liveness struct {
 	Kill  map[*ir.Block]RegSet
 }
 
+// liveSets is a liveness solution indexed by block ID; a block
+// unreachable when it was solved has nil sets.
+type liveSets struct {
+	in, out, ue, kill []RegSet
+}
+
 // ComputeLiveness runs backward iterative liveness over f.
 //
 // Predicated definitions are treated as transparent: a predicated
@@ -110,69 +116,79 @@ type Liveness struct {
 // is exactly what the register allocator and block-output computation
 // need.
 func ComputeLiveness(f *ir.Function) *Liveness {
-	n := f.NumRegs()
-	order := Postorder(f)
+	order, succs := reversePostorder(f)
+	return solveLiveness(f, order, succs).maps(order)
+}
+
+// maps indexes s by block for the reachable blocks in order.
+func (s *liveSets) maps(order []*ir.Block) *Liveness {
 	lv := &Liveness{
 		In:    make(map[*ir.Block]RegSet, len(order)),
 		Out:   make(map[*ir.Block]RegSet, len(order)),
 		UEVar: make(map[*ir.Block]RegSet, len(order)),
 		Kill:  make(map[*ir.Block]RegSet, len(order)),
 	}
+	for _, b := range order {
+		lv.In[b] = s.in[b.ID]
+		lv.Out[b] = s.out[b.ID]
+		lv.UEVar[b] = s.ue[b.ID]
+		lv.Kill[b] = s.kill[b.ID]
+	}
+	return lv
+}
+
+// solveLiveness is ComputeLiveness by block ID; rpo and succs are what
+// reversePostorder(f) returned.
+func solveLiveness(f *ir.Function, rpo []*ir.Block, succs [][]*ir.Block) *liveSets {
+	n := f.NumRegs()
 	// All per-block sets (plus one temporary) come out of a single flat
-	// arena, and the fixed point runs over block-ID-indexed slices; the
-	// result maps are populated once after convergence.
+	// arena, and the fixed point runs over block-ID-indexed slices.
 	words := (n + 63) / 64
-	arena := make([]uint64, (4*len(order)+1)*words)
+	arena := make([]uint64, (4*len(rpo)+1)*words)
 	take := func() RegSet {
 		s := RegSet(arena[:words:words])
 		arena = arena[words:]
 		return s
 	}
 	bound := f.BlockIDBound()
-	inS := make([]RegSet, bound)
-	outS := make([]RegSet, bound)
-	ueS := make([]RegSet, bound)
-	killS := make([]RegSet, bound)
-	succs := succLists(f)
+	s := &liveSets{
+		in:   make([]RegSet, bound),
+		out:  make([]RegSet, bound),
+		ue:   make([]RegSet, bound),
+		kill: make([]RegSet, bound),
+	}
 	var buf []ir.Reg
-	for _, b := range order {
+	for _, b := range rpo {
 		ue, kill := take(), take()
 		buf = summarize(b, ue, kill, buf)
-		ueS[b.ID], killS[b.ID] = ue, kill
-		inS[b.ID], outS[b.ID] = take(), take()
+		s.ue[b.ID], s.kill[b.ID] = ue, kill
+		s.in[b.ID], s.out[b.ID] = take(), take()
 	}
 	tmp := take()
 	changed := true
 	for changed {
 		changed = false
-		for _, b := range order {
-			out := outS[b.ID]
-			for _, s := range succs[b.ID] {
-				if in := inS[s.ID]; in != nil {
-					if out.UnionWith(in) {
-						changed = true
-					}
+		for i := len(rpo) - 1; i >= 0; i-- { // postorder
+			b := rpo[i]
+			out := s.out[b.ID]
+			for _, t := range succs[b.ID] {
+				if out.UnionWith(s.in[t.ID]) {
+					changed = true
 				}
 			}
 			// in = UEVar ∪ (out − kill)
 			copy(tmp, out)
-			ue, kill := ueS[b.ID], killS[b.ID]
+			ue, kill := s.ue[b.ID], s.kill[b.ID]
 			for i := range tmp {
 				tmp[i] &^= kill[i]
 				tmp[i] |= ue[i]
 			}
-			if unionInto(inS[b.ID], tmp) {
+			if unionInto(s.in[b.ID], tmp) {
 				changed = true
 			}
 		}
 	}
-	for _, b := range order {
-		lv.In[b] = inS[b.ID]
-		lv.Out[b] = outS[b.ID]
-		lv.UEVar[b] = ueS[b.ID]
-		lv.Kill[b] = killS[b.ID]
-	}
-	return lv
+	return s
 }
 
 // summarize adds b's upward-exposed uses to ue and its unpredicated

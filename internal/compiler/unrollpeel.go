@@ -76,7 +76,7 @@ func UnrollPeelFunction(f *ir.Function, prof *profile.FuncProfile, opts UnrollPe
 			continue
 		}
 		loops := analysis.Loops(f)
-		l := loops.ByHeader[header]
+		l := loops.ByHeader(header)
 		if l == nil {
 			continue
 		}
@@ -94,7 +94,7 @@ func statsPlus(a, b UnrollPeelStats) UnrollPeelStats {
 func transformLoop(f *ir.Function, l *analysis.Loop, prof *profile.FuncProfile, opts UnrollPeelOptions) UnrollPeelStats {
 	var stats UnrollPeelStats
 	size := 0
-	for b := range l.Blocks {
+	for _, b := range l.Blocks {
 		size += len(b.Instrs)
 	}
 	if size == 0 || size > opts.SizeBudget {
@@ -115,7 +115,7 @@ func transformLoop(f *ir.Function, l *analysis.Loop, prof *profile.FuncProfile, 
 				if i == 0 {
 					// Redirect outside entries to the first peel.
 					for _, b := range f.Blocks {
-						if l.Blocks[b] || clonedOf(m, b) {
+						if l.Contains(b) || clonedOf(m, b) {
 							continue
 						}
 						b.RetargetBranches(l.Header, m[l.Header])
@@ -128,7 +128,7 @@ func transformLoop(f *ir.Function, l *analysis.Loop, prof *profile.FuncProfile, 
 				}
 				// This peel's back edges fall into the loop proper
 				// (rewired by the next peel, if any).
-				for b := range l.Blocks {
+				for _, b := range l.Blocks {
 					m[b].RetargetBranches(m[l.Header], l.Header)
 				}
 				prev = m
@@ -161,7 +161,7 @@ func transformLoop(f *ir.Function, l *analysis.Loop, prof *profile.FuncProfile, 
 		for _, latch := range prevLatches {
 			latch.RetargetBranches(l.Header, m[l.Header])
 		}
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			m[b].RetargetBranches(m[l.Header], l.Header)
 		}
 		prevLatches = prevLatches[:0]
@@ -180,13 +180,12 @@ func transformLoop(f *ir.Function, l *analysis.Loop, prof *profile.FuncProfile, 
 // rewires back edges as needed).
 func cloneLoop(f *ir.Function, l *analysis.Loop, tag string) map[*ir.Block]*ir.Block {
 	m := map[*ir.Block]*ir.Block{}
-	// Walk f.Blocks rather than the l.Blocks set so clones are
-	// adopted (and thus laid out) in a deterministic order; map
-	// iteration order here used to leak into block layout and from
-	// there into cycle counts.
+	// Walk f.Blocks rather than l.Blocks so clones are adopted (and
+	// thus laid out) in function order: block layout feeds cycle
+	// counts.
 	members := make([]*ir.Block, 0, len(l.Blocks))
 	for _, b := range f.Blocks {
-		if l.Blocks[b] {
+		if l.Contains(b) {
 			members = append(members, b)
 		}
 	}

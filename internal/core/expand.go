@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/profile"
 )
@@ -32,7 +33,7 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 	}
 
 	fo.live = nil // a new hyperblock: rebuild the liveness solver
-	loops := fo.cache.Loops(fo.f)
+	loops := fo.loops()
 	ctx := &Context{F: fo.f, HB: hb, Prof: fo.cfg.Prof, Loops: loops, Cons: fo.cfg.Cons}
 	pol.Prepare(ctx)
 
@@ -90,7 +91,7 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 				len(s.Instrs) > fo.cfg.Cons.MaxInstrs/4 {
 				if nb := fo.SplitOversizeCandidate(s); nb != nil {
 					fo.record(Decision{Kind: DecSplit, Cand: s.ID})
-					loops = fo.cache.Loops(fo.f)
+					loops = fo.loops()
 					ctx.Loops = loops
 					candidates = append(candidates, s)
 					_ = nb
@@ -101,10 +102,11 @@ func (fo *Former) ExpandBlock(seedID int) *ir.Block {
 			continue
 		}
 
-		// Success: hb grew in place. Refresh the loop forest and drop
+		// Success: hb grew in place. Refresh the loop forest (the cache
+		// carries it over unless the merge could change it) and drop
 		// candidates the merge deleted.
 		merges++
-		loops = fo.cache.Loops(fo.f)
+		loops = fo.loops()
 		ctx.Loops = loops
 		fresh := candidates[:0]
 		for _, c := range candidates {
@@ -253,4 +255,18 @@ func formProgram(p *ir.Program, cfg Config, prof *profile.Profile, record bool) 
 		total.Add(st)
 	}
 	return total, degraded, tr, nil
+}
+
+// testHookLoops, when a test sets it, sees every loop forest greedy
+// formation reads: at each seed, and after each committed merge and
+// each split.
+var testHookLoops func(f *ir.Function, lf *analysis.LoopForest)
+
+// loops returns the working function's loop forest.
+func (fo *Former) loops() *analysis.LoopForest {
+	lf := fo.cache.Loops(fo.f)
+	if testHookLoops != nil {
+		testHookLoops(fo.f, lf)
+	}
+	return lf
 }

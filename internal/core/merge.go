@@ -103,8 +103,12 @@ type Former struct {
 	// cache memoizes RPO/dominators/loops/liveness against the working
 	// function's mutation version, so the convergence loop only
 	// recomputes analyses after a committed change (a rolled-back
-	// attempt restores the version).
+	// attempt restores the version). MergeBlocks reports each commit to
+	// it, so the loop forest survives the commits that cannot change
+	// it.
 	cache analysis.Cache
+	// succBuf holds the merged block's successors before an attempt.
+	succBuf []*ir.Block
 	// live answers the merged block's liveness queries for the
 	// hyperblock being grown; nil until its first merge attempt.
 	live *analysis.BlockLiveness
@@ -229,10 +233,13 @@ func (fo *Former) MergeBlocks(hb, s *ir.Block, loops *analysis.LoopForest) bool 
 
 	// 1. Snapshot what the attempt may change.
 	fo.undo.save(fo.f, hb)
+	before := fo.f.Version()
+	fo.succBuf = hb.SuccsAppend(fo.succBuf[:0])
 	if !fo.mergeExec(hb, s, kind, true) {
 		fo.undo.restore(fo.f, hb)
 		return false
 	}
+	fo.cache.Merged(fo.f, before, hb, s, fo.succBuf, kind == mergePlain)
 	d := Decision{Kind: DecMerge, Cand: s.ID, Merge: kind.name()}
 	if fo.rec != nil {
 		sh := fo.lastMerge.shape
@@ -291,7 +298,7 @@ func (fo *Former) mergeExec(hb, s *ir.Block, kind mergeKind, verify bool) bool {
 		// Built from the committed function, before this attempt
 		// rewrites hb, and kept for the rest of the hyperblock
 		// (ExpandBlock and splits reset it).
-		fo.live = analysis.NewBlockLiveness(f, fo.cache.Liveness(f), hb)
+		fo.live = fo.cache.BlockLiveness(f, hb)
 	}
 
 	// 2. Locate the branch being if-converted.

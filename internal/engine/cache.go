@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/compiler"
@@ -231,21 +230,25 @@ func (s CacheStats) Format() string {
 		s.Hits, s.DiskHits, s.Misses, s.Puts)
 }
 
-// Cache is a content-addressed Metrics store with an in-memory layer
-// and an optional backing store.Store (local disk, a peer store, or a
-// read-through tier chain). All methods are safe for concurrent use.
+// resultMemLimit bounds the result cache's in-memory layer. The
+// largest benchmark workload needs 576 distinct keys; a backing store,
+// when there is one, keeps the evicted entries.
+const resultMemLimit = 4096
+
+// Cache is a content-addressed Metrics store with a bounded in-memory
+// layer and an optional backing store.Store (local disk, a peer store,
+// or a read-through tier chain). All methods are safe for concurrent
+// use.
 type Cache struct {
 	backing store.Store // nil: memory-only
-
-	mu  sync.RWMutex
-	mem map[string]Metrics
+	mem     *lru[Metrics]
 
 	hits, misses, storeHits, puts atomic.Int64
 }
 
 // NewCache returns an in-memory cache.
 func NewCache() *Cache {
-	return &Cache{mem: map[string]Metrics{}}
+	return &Cache{mem: newLRU[Metrics](resultMemLimit)}
 }
 
 // NewDiskCache returns a cache that persists entries under dir (one
@@ -264,7 +267,7 @@ func NewDiskCache(dir string) (*Cache, error) {
 // the cluster entry point: hand it a tiered disk+peer store and every
 // node's results become every other node's warm cache.
 func NewStoreCache(s store.Store) *Cache {
-	return &Cache{backing: s, mem: map[string]Metrics{}}
+	return &Cache{backing: s, mem: newLRU[Metrics](resultMemLimit)}
 }
 
 // Store exposes the backing store (nil for a memory-only cache), e.g.
@@ -280,9 +283,7 @@ func (c *Cache) Get(key string) (Metrics, bool) {
 // GetContext is Get under the caller's context (which bounds backing-
 // store reads — a peer fetch respects the request deadline).
 func (c *Cache) GetContext(ctx context.Context, key string) (Metrics, bool) {
-	c.mu.RLock()
-	m, ok := c.mem[key]
-	c.mu.RUnlock()
+	m, ok := c.mem.get(key)
 	if ok {
 		c.hits.Add(1)
 		return m, true
@@ -290,7 +291,7 @@ func (c *Cache) GetContext(ctx context.Context, key string) (Metrics, bool) {
 	if c.backing != nil {
 		payload, ok, _ := c.backing.Get(ctx, key)
 		if ok && json.Unmarshal(payload, &m) == nil {
-			c.insert(key, m)
+			c.mem.put(key, m)
 			c.hits.Add(1)
 			c.storeHits.Add(1)
 			return m, true
@@ -304,27 +305,18 @@ func (c *Cache) GetContext(ctx context.Context, key string) (Metrics, bool) {
 // uses for its post-join double check; it counts a hit (the caller is
 // about to report CacheHit) but never a miss.
 func (c *Cache) peek(key string) (Metrics, bool) {
-	c.mu.RLock()
-	m, ok := c.mem[key]
-	c.mu.RUnlock()
+	m, ok := c.mem.get(key)
 	if ok {
 		c.hits.Add(1)
 	}
 	return m, ok
 }
 
-// insert adds the entry to the in-memory layer.
-func (c *Cache) insert(key string, m Metrics) {
-	c.mu.Lock()
-	c.mem[key] = m
-	c.mu.Unlock()
-}
-
 // Put stores the metrics under key, writing through to the backing
 // store when one is attached (the local tier synchronously, deeper
 // tiers on the store's write-back policy).
 func (c *Cache) Put(key string, m Metrics) {
-	c.insert(key, m)
+	c.mem.put(key, m)
 	c.puts.Add(1)
 	if c.backing == nil {
 		return
@@ -337,11 +329,7 @@ func (c *Cache) Put(key string, m Metrics) {
 }
 
 // Len reports the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.mem)
-}
+func (c *Cache) Len() int { return c.mem.len() }
 
 // Stats returns the operation counters.
 func (c *Cache) Stats() CacheStats {

@@ -6,8 +6,8 @@ import (
 )
 
 // lru is a bounded in-memory map that evicts the least recently used
-// entry past its limit. The program tier and the skeleton tier's
-// memory layer each hold one.
+// entry past its limit. The result cache, the program tier and the
+// skeleton tier's memory layer each hold one.
 type lru[T any] struct {
 	limit int
 

@@ -140,9 +140,9 @@ type Front struct {
 	set      *shardSet
 	flights  map[flightKey]*flight
 	draining bool
-	// pool keeps one shard struct per URL across membership-driven
-	// set rebuilds, so latency history and counters survive view
-	// flaps instead of resetting on every gossip delta.
+	// pool keeps one shard struct per member URL across
+	// membership-driven set rebuilds, so latency history and counters
+	// survive view flaps instead of resetting on every gossip delta.
 	pool map[string]*shard
 	// node is the membership observer feeding ApplyView, when one is
 	// attached (WatchMembership).
@@ -209,7 +209,10 @@ func New(cfg Config) (*Front, error) {
 // own, so dropping a member leaves the relative order of the rest —
 // every live shard's key affinity — unchanged. Flights in progress
 // finish on the set they started with, and shard structs are reused
-// from a pool so latency state survives the rebuild.
+// from a pool so latency state survives the rebuild. The pool holds
+// only the view's members, in any state: a member that flaps to
+// suspect and back keeps its latency window, and one that leaves the
+// view is dropped.
 func (f *Front) ApplyView(v cluster.View) {
 	serving := v.Serving()
 	if len(serving) == 0 {
@@ -234,6 +237,15 @@ func (f *Front) ApplyView(v cluster.View) {
 	for u, s := range f.set.shards {
 		if _, ok := f.pool[u]; !ok {
 			f.pool[u] = s
+		}
+	}
+	members := make(map[string]bool, len(v.Members))
+	for _, m := range v.Members {
+		members[m.Addr] = true
+	}
+	for u := range f.pool {
+		if !members[u] {
+			delete(f.pool, u)
 		}
 	}
 	set := &shardSet{

@@ -3,6 +3,7 @@ package front
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -432,6 +433,30 @@ func TestFrontSuspectDeprioritized(t *testing.T) {
 	}
 	if states[order[0]] != "suspect" || states[order[1]] != "serving" {
 		t.Fatalf("shard states = %+v", states)
+	}
+}
+
+// TestFrontPoolHoldsOnlyViewMembers: a member that leaves the view
+// leaves the shard pool, so a churning cluster does not grow it.
+func TestFrontPoolHoldsOnlyViewMembers(t *testing.T) {
+	const seed = "http://127.0.0.1:1"
+	f, err := New(Config{Shards: []string{seed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last cluster.View
+	for i := 0; i < 1000; i++ {
+		last = membershipView(map[string]cluster.State{
+			seed: cluster.StateAlive,
+			fmt.Sprintf("http://127.0.0.2:%d", 1000+i): cluster.StateAlive,
+		})
+		f.ApplyView(last)
+	}
+	f.mu.RLock()
+	n := len(f.pool)
+	f.mu.RUnlock()
+	if n != len(last.Members) {
+		t.Fatalf("pool holds %d shards after 1000 views, want the last view's %d members", n, len(last.Members))
 	}
 }
 

@@ -24,45 +24,62 @@ func Verify(f *Function) error {
 	if len(f.Blocks) == 0 {
 		return errors.New("ir: function has no blocks")
 	}
-	inFn := make(map[*Block]bool, len(f.Blocks))
-	ids := make(map[int]bool, len(f.Blocks))
+	// The registered blocks by ID, over the range of IDs in use: a
+	// branch target is registered exactly when its ID's slot holds it.
+	lo, hi := f.Blocks[0].ID, f.Blocks[0].ID
 	for _, b := range f.Blocks {
-		if inFn[b] {
+		lo, hi = min(lo, b.ID), max(hi, b.ID)
+	}
+	reg := registry{lo: lo, byID: make([]*Block, hi-lo+1)}
+	for _, b := range f.Blocks {
+		switch reg.byID[b.ID-lo] {
+		case nil:
+			reg.byID[b.ID-lo] = b
+		case b:
 			return fmt.Errorf("ir: block %s registered twice", b)
-		}
-		inFn[b] = true
-		if ids[b.ID] {
+		default:
 			return fmt.Errorf("ir: duplicate block id %d", b.ID)
 		}
-		ids[b.ID] = true
 	}
+	var buf []Reg
 	for _, b := range f.Blocks {
-		if err := verifyBlock(f, b, inFn); err != nil {
+		var err error
+		if buf, err = verifyBlock(f, b, reg, buf); err != nil {
 			return fmt.Errorf("ir: %s.%s: %w", f.Name, b.Name, err)
 		}
 	}
 	return nil
 }
 
-func verifyBlock(f *Function, b *Block, inFn map[*Block]bool) error {
+// registry holds a function's blocks by ID, from ID lo.
+type registry struct {
+	lo   int
+	byID []*Block
+}
+
+func (r registry) has(b *Block) bool {
+	i := b.ID - r.lo
+	return i >= 0 && i < len(r.byID) && r.byID[i] == b
+}
+
+func verifyBlock(f *Function, b *Block, reg registry, buf []Reg) ([]Reg, error) {
 	if !b.Terminated() {
-		return errors.New("block not terminated")
+		return buf, errors.New("block not terminated")
 	}
 	dead := false
-	var buf []Reg
 	for i, in := range b.Instrs {
 		if dead {
-			return fmt.Errorf("instruction %d follows an unconditional exit", i)
+			return buf, fmt.Errorf("instruction %d follows an unconditional exit", i)
 		}
 		switch in.Op {
 		case OpInvalid:
-			return fmt.Errorf("instruction %d is invalid", i)
+			return buf, fmt.Errorf("instruction %d is invalid", i)
 		case OpBr:
 			if in.Target == nil {
-				return fmt.Errorf("branch %d has nil target", i)
+				return buf, fmt.Errorf("branch %d has nil target", i)
 			}
-			if !inFn[in.Target] {
-				return fmt.Errorf("branch %d targets foreign block %s", i, in.Target)
+			if !reg.has(in.Target) {
+				return buf, fmt.Errorf("branch %d targets foreign block %s", i, in.Target)
 			}
 			if !in.Predicated() {
 				dead = true
@@ -73,29 +90,29 @@ func verifyBlock(f *Function, b *Block, inFn map[*Block]bool) error {
 			}
 		case OpCall:
 			if f.Prog != nil && f.Prog.Func(in.Callee) == nil && !f.Prog.Externs[in.Callee] {
-				return fmt.Errorf("call %d targets unknown function %q", i, in.Callee)
+				return buf, fmt.Errorf("call %d targets unknown function %q", i, in.Callee)
 			}
 		}
 		if in.Op.IsBinary() && (!in.A.Valid() || !in.B.Valid()) {
-			return fmt.Errorf("binary op %s at %d missing operand", in.Op, i)
+			return buf, fmt.Errorf("binary op %s at %d missing operand", in.Op, i)
 		}
 		if in.Op.IsUnary() && !in.A.Valid() {
-			return fmt.Errorf("unary op %s at %d missing operand", in.Op, i)
+			return buf, fmt.Errorf("unary op %s at %d missing operand", in.Op, i)
 		}
 		if in.Op.HasDst() && in.Op != OpCall && !in.Dst.Valid() {
-			return fmt.Errorf("op %s at %d missing destination", in.Op, i)
+			return buf, fmt.Errorf("op %s at %d missing destination", in.Op, i)
 		}
 		buf = in.Uses(buf)
 		for _, r := range buf {
 			if int(r) >= f.NumRegs() {
-				return fmt.Errorf("instruction %d reads unallocated register %s", i, r)
+				return buf, fmt.Errorf("instruction %d reads unallocated register %s", i, r)
 			}
 		}
 		if d := in.Def(); d.Valid() && int(d) >= f.NumRegs() {
-			return fmt.Errorf("instruction %d writes unallocated register %s", i, d)
+			return buf, fmt.Errorf("instruction %d writes unallocated register %s", i, d)
 		}
 	}
-	return nil
+	return buf, nil
 }
 
 // VerifyProgram verifies every function in the program.

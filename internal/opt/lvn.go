@@ -70,8 +70,10 @@ func (v *valueNumbering) reset(f *ir.Function, b *ir.Block) {
 	v.nextVN = 0
 	n := f.NumRegs()
 	if cap(v.vn) < n {
-		v.vn = make([]int32, n)
-		v.lastUse = make([]int32, n)
+		// Formation adds registers with every merge; grow with room
+		// to spare rather than reallocate on every call.
+		v.vn = make([]int32, n, n+n/2)
+		v.lastUse = make([]int32, n, n+n/2)
 	} else {
 		v.vn = v.vn[:n]
 		clear(v.vn)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/opt"
@@ -32,8 +33,12 @@ type Spec struct {
 	// on the first slash to group sub-benchmarks.
 	Name string
 	// AllocBudget is the maximum allocs/op the bench-gate allows, or
-	// -1 for no allocation budget. The budget is exact: the steady
-	// state either allocates or it does not, so there is no tolerance.
+	// -1 for no allocation budget. A budget of 0 is exact: the steady
+	// state either allocates or it does not. A positive budget is the
+	// count measured when it was set plus a margin of about 4%: the
+	// count drifts slightly from run to run (a GC empties sync.Pool
+	// caches), and the margin absorbs that drift while still failing a
+	// change that allocates per merge again.
 	AllocBudget int64
 	// Fn is the benchmark body. Every body calls b.ReportAllocs.
 	Fn func(b *testing.B)
@@ -45,9 +50,13 @@ func Specs() []Spec {
 	return []Spec{
 		{Name: "Formation/Frontend", AllocBudget: -1, Fn: benchFrontend},
 		{Name: "Formation/Profile", AllocBudget: -1, Fn: benchProfile},
-		{Name: "Formation/Form", AllocBudget: -1, Fn: benchForm},
+		// Formation's budgets hold its per-merge work to the hyperblock:
+		// measured at 12,036-12,053, 12,748-12,764 and
+		// 142,317-144,280 allocs/op.
+		{Name: "Formation/Form", AllocBudget: 12500, Fn: benchForm},
 		{Name: "Formation/Regalloc", AllocBudget: -1, Fn: benchRegalloc},
-		{Name: "Formation/Full", AllocBudget: -1, Fn: benchFormationFull},
+		{Name: "Formation/Full", AllocBudget: 13250, Fn: benchFormationFull},
+		{Name: "Formation/Tail", AllocBudget: 150000, Fn: benchTail},
 		{Name: "Formation/Instantiate", AllocBudget: -1, Fn: benchInstantiate},
 		{Name: "CycleSim/Clone", AllocBudget: -1, Fn: benchClone},
 		{Name: "CycleSim/ColdRun", AllocBudget: -1, Fn: benchColdRun},
@@ -157,6 +166,22 @@ func benchFormationFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compiler.Compile(w.Source, formationOpts(w)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchTail compiles serve-cold's slowest corpus program, number 87
+// of corpus seed 1, under (IUPO) without a profile, as hbserved does:
+// a large function grown over some 1,500 committed merges, where
+// whole-function work per merge would dominate.
+func benchTail(b *testing.B) {
+	src := fuzz.Generate(1+87, fuzz.GenConfig{})
+	opts := compiler.Options{Ordering: compiler.OrderIUPO1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := compiler.Compile(src, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,8 +359,8 @@ func (r *Report) Lookup(name string) *Result {
 	return nil
 }
 
-// Compare gates fresh against base: every fresh result must respect
-// its allocation budget exactly, and any result present in both
+// Compare gates fresh against base: every fresh result must stay
+// within its allocation budget, and any result present in both
 // reports must not regress ns/op by more than nsTol (0.25 = 25%).
 // The returned violations are empty when the gate passes; notes lists
 // non-fatal observations (e.g. benchmarks missing from the baseline).

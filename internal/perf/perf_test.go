@@ -67,4 +67,12 @@ func TestSpecsRegistry(t *testing.T) {
 	if !warmGated {
 		t.Fatal("CycleSim/WarmRun must carry the exact 0 allocs/op budget")
 	}
+	for _, s := range specs {
+		switch s.Name {
+		case "Formation/Form", "Formation/Full", "Formation/Tail":
+			if s.AllocBudget <= 0 {
+				t.Errorf("%s must carry an allocation budget", s.Name)
+			}
+		}
+	}
 }

@@ -168,9 +168,9 @@ func CollectContext(ctx context.Context, prog *ir.Program, fn string, args ...in
 		// traversals per loop entry (completed iterations beyond the
 		// first header visit): a while loop whose body runs 3 times
 		// records trip 3.
-		if l := lf.ByHeader[to]; l != nil {
+		if l := lf.ByHeader(to); l != nil {
 			k := key{f.Name, to.ID}
-			if l.Blocks[from] {
+			if l.Contains(from) {
 				cur[k]++ // back edge: one more iteration
 			} else {
 				// Loop entry from outside: finalize any stale count
@@ -185,7 +185,7 @@ func CollectContext(ctx context.Context, prog *ir.Program, fn string, args ...in
 		// Exiting edges: from inside loop L to outside finalizes L
 		// (and any enclosing loops also being left).
 		for l := lf.InnermostLoop(from); l != nil; l = l.Parent {
-			if !l.Blocks[to] {
+			if !l.Contains(to) {
 				k := key{f.Name, l.Header.ID}
 				if active[k] {
 					addTrip(fp, l.Header.ID, cur[k])

@@ -344,7 +344,7 @@ func buildIntervals(f *ir.Function, cache *analysis.Cache) []interval {
 			continue
 		}
 		loopEnd := 0
-		for lb := range l.Blocks {
+		for _, lb := range l.Blocks {
 			if e := blockStart[lb.ID] + 2*len(lb.Instrs) + 1; e > loopEnd {
 				loopEnd = e
 			}
