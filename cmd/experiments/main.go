@@ -171,7 +171,7 @@ func main() {
 	fmt.Fprintln(os.Stderr, tracer.Summary().Format())
 	fmt.Fprintln(os.Stderr, cache.Stats().Format())
 	if fs := eng.FlightStats(); fs.Coalesced > 0 {
-		fmt.Fprintf(os.Stderr, "engine: single-flight: %d flights, %d joins coalesced\n",
+		fmt.Fprintf(os.Stderr, "engine: program flight: %d compiles, %d jobs joined one\n",
 			fs.Flights, fs.Coalesced)
 	}
 	if len(cellErrs) > 0 {

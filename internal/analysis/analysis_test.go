@@ -103,23 +103,6 @@ func TestDominators(t *testing.T) {
 	}
 }
 
-func TestPostDominators(t *testing.T) {
-	f, bs := buildLoopNest(t)
-	pd := PostDominators(f)
-	// I post-dominates everything.
-	for _, n := range []string{"A", "B", "CD", "E", "FG", "H"} {
-		if !pd.Dominates(bs["I"], bs[n]) {
-			t.Errorf("I must post-dominate %s", n)
-		}
-	}
-	if pd.Dominates(bs["CD"], bs["H"]) {
-		t.Error("CD must not post-dominate H")
-	}
-	if !pd.Dominates(bs["H"], bs["FG"]) {
-		t.Error("H post-dominates FG")
-	}
-}
-
 func TestLoops(t *testing.T) {
 	f, bs := buildLoopNest(t)
 	lf := Loops(f)

@@ -47,62 +47,6 @@ func (g *cfgIndex) dominators() *DomTree {
 	return &DomTree{Order: g.order, idom: chk(g.order, g.pos, g.preds, roots)}
 }
 
-// PostDominators computes the post-dominator tree of f over the
-// reversed CFG. Functions may have several exit blocks (returns); a
-// virtual exit is simulated by seeding every return block as a root.
-// Blocks that cannot reach an exit (infinite loops) are absent.
-func PostDominators(f *ir.Function) *DomTree {
-	order, succs := reversePostorder(f)
-	g := newCFGIndex(f, order, succs)
-	var exits []*ir.Block
-	for _, b := range g.order {
-		if b.HasRet() {
-			exits = append(exits, b)
-		}
-	}
-	// Reverse postorder of the reversed graph (whose successors are the
-	// original predecessors) from every exit, in block-ID order.
-	sortBlocksByID(exits)
-	bound := len(g.pos)
-	pos := make([]int32, bound)
-	for i := range pos {
-		pos[i] = -1
-	}
-	order = order[:0:0]
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		pos[b.ID] = 0
-		for _, p := range g.preds[b.ID] {
-			if pos[p.ID] < 0 {
-				dfs(p)
-			}
-		}
-		order = append(order, b)
-	}
-	for _, e := range exits {
-		if pos[e.ID] < 0 {
-			dfs(e)
-		}
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	for i, b := range order {
-		pos[b.ID] = int32(i)
-	}
-	// Predecessors in the reversed graph are the original successors
-	// that can reach an exit.
-	rpred := make([][]*ir.Block, bound)
-	for _, b := range order {
-		for _, s := range g.succs[b.ID] {
-			if pos[s.ID] >= 0 {
-				rpred[b.ID] = append(rpred[b.ID], s)
-			}
-		}
-	}
-	return &DomTree{Order: order, idom: chk(order, pos, rpred, exits)}
-}
-
 // chk runs Cooper–Harvey–Kennedy over order, a reverse postorder whose
 // DFS started from roots (in order), and returns the immediate
 // dominators by block ID. pos and preds are indexed by block ID; pos

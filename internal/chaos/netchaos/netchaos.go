@@ -68,7 +68,8 @@ type Plan struct {
 	DiskReadErrRate int `json:"disk_read_err_rate,omitempty"`
 	// PartitionPairs severs explicit directed "from->to" paths for
 	// the whole armed window, independent of PartitionRate's hashed
-	// decisions. Hosts may be named by URL or host:port. This is how
+	// decisions. Hosts may be named by URL, host:port, or the name an
+	// injector's Names gives them. This is how
 	// a scenario scripts an exact asymmetric partition (e.g. A loses
 	// its path to C while C still reaches A, and both reach B).
 	PartitionPairs []string `json:"partition_pairs,omitempty"`
@@ -209,13 +210,14 @@ func (s Stats) Total() int64 {
 }
 
 // Injector arms one Plan for one node. Build one per node (From is
-// the node's own address, the source side of asymmetric partitions),
-// wrap the node's outbound client with Transport and its local store
-// with Store, then Arm/Disarm to open and close fault windows. Safe
-// for concurrent use.
+// the node's own name or address, the source side of asymmetric
+// partitions), wrap the node's outbound client with Transport and its
+// local store with Store, then Arm/Disarm to open and close fault
+// windows. Safe for concurrent use.
 type Injector struct {
 	plan  Plan
 	from  string
+	names *Names
 	armed atomic.Bool
 
 	mu   sync.Mutex
@@ -229,6 +231,46 @@ type Injector struct {
 // New builds a disarmed injector for the node at addr.
 func New(plan Plan, from string) *Injector {
 	return &Injector{plan: plan, from: from, seqs: map[string]*atomic.Uint64{}}
+}
+
+// SetNames makes the injector hash every node it names, the target of
+// each request and its own From, by its name in names. Call it before
+// Arm.
+func (in *Injector) SetNames(names *Names) { in.names = names }
+
+// Names maps node addresses to the stable names fault decisions hash.
+// A node that listens on an ephemeral port changes address from run to
+// run; naming it keeps its fault sites and partition pairs, and so a
+// seed's schedule, the same on every run. An unnamed address stands
+// for itself. The zero value names nothing; safe for concurrent use.
+type Names struct {
+	mu sync.RWMutex
+	m  map[string]string
+}
+
+// Set names the node at addr, a URL or host:port.
+func (n *Names) Set(addr, name string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.m == nil {
+		n.m = map[string]string{}
+	}
+	n.m[trimHost(addr)] = name
+}
+
+// of returns addr's name, or addr without its scheme when n does not
+// name it (or is nil).
+func (n *Names) of(addr string) string {
+	host := trimHost(addr)
+	if n == nil {
+		return host
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if name, ok := n.m[host]; ok {
+		return name
+	}
+	return host
 }
 
 // Arm opens the fault window; Disarm closes it. Armed reports the

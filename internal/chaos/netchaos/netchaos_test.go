@@ -3,9 +3,11 @@ package netchaos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -360,5 +362,53 @@ func TestPartitionPairs(t *testing.T) {
 	}
 	if !strings.Contains(p.Name(), "a:1 -> b:2") {
 		t.Fatalf("Name() omits the pairs: %s", p.Name())
+	}
+}
+
+// okTransport answers every request 200 without touching the network.
+type okTransport struct{}
+
+func (okTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader("ok")), Request: req}, nil
+}
+
+// TestNamedTargetsStableAcrossPorts: an injector that names the nodes
+// it sends to makes the same fault decisions when those nodes listen on
+// other ports, as a storm's shards do from run to run.
+func TestNamedTargetsStableAcrossPorts(t *testing.T) {
+	plan := Plan{Seed: 5, DropRate: 200, PartitionRate: 300, Err5xxRate: 200}
+	decisions := func(ports []int) []string {
+		names := &Names{}
+		for i, p := range ports {
+			names.Set(fmt.Sprintf("http://127.0.0.1:%d", p), fmt.Sprintf("storm-%d", i))
+		}
+		in := New(plan, "front")
+		in.SetNames(names)
+		in.Arm()
+		rt := in.Transport(okTransport{})
+		var out []string
+		for range 32 {
+			for _, p := range ports {
+				req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("http://127.0.0.1:%d/v1/jobs", p), nil)
+				resp, err := rt.RoundTrip(req)
+				switch {
+				case err != nil:
+					out = append(out, "drop")
+				case resp.StatusCode != http.StatusOK:
+					out = append(out, "5xx")
+				default:
+					out = append(out, "ok")
+				}
+			}
+		}
+		return out
+	}
+	a := decisions([]int{40001, 40002, 40003, 40004})
+	b := decisions([]int{41501, 41502, 41503, 41504})
+	if !slices.Equal(a, b) {
+		t.Fatalf("the same named nodes on other ports drew other faults:\n%v\n%v", a, b)
+	}
+	if !slices.Contains(a, "ok") || !slices.Contains(a, "drop") || !slices.Contains(a, "5xx") {
+		t.Fatalf("decisions %v: want some requests through, some dropped and some 5xx", a)
 	}
 }

@@ -48,7 +48,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return t.inner.RoundTrip(req)
 	}
 	p := in.plan
-	from, to := trimHost(in.from), trimHost(req.URL.Host)
+	from, to := in.names.of(in.from), in.names.of(req.URL.Host)
 	if p.Partitioned(from, to) {
 		in.partitions.Add(1)
 		return nil, &dropError{fmt.Sprintf("netchaos: partition %s -/-> %s", from, to)}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/compiler"
+	"repro/internal/memo"
 	"repro/internal/regalloc"
 	"repro/internal/sim/timing"
 	"repro/internal/store"
@@ -241,14 +242,14 @@ const resultMemLimit = 4096
 // use.
 type Cache struct {
 	backing store.Store // nil: memory-only
-	mem     *lru[Metrics]
+	mem     *memo.LRU[Metrics]
 
 	hits, misses, storeHits, puts atomic.Int64
 }
 
 // NewCache returns an in-memory cache.
 func NewCache() *Cache {
-	return &Cache{mem: newLRU[Metrics](resultMemLimit)}
+	return &Cache{mem: memo.NewLRU[Metrics](resultMemLimit)}
 }
 
 // NewDiskCache returns a cache that persists entries under dir (one
@@ -267,7 +268,7 @@ func NewDiskCache(dir string) (*Cache, error) {
 // the cluster entry point: hand it a tiered disk+peer store and every
 // node's results become every other node's warm cache.
 func NewStoreCache(s store.Store) *Cache {
-	return &Cache{backing: s, mem: newLRU[Metrics](resultMemLimit)}
+	return &Cache{backing: s, mem: memo.NewLRU[Metrics](resultMemLimit)}
 }
 
 // Store exposes the backing store (nil for a memory-only cache), e.g.
@@ -283,7 +284,7 @@ func (c *Cache) Get(key string) (Metrics, bool) {
 // GetContext is Get under the caller's context (which bounds backing-
 // store reads — a peer fetch respects the request deadline).
 func (c *Cache) GetContext(ctx context.Context, key string) (Metrics, bool) {
-	m, ok := c.mem.get(key)
+	m, ok := c.mem.Get(key)
 	if ok {
 		c.hits.Add(1)
 		return m, true
@@ -291,7 +292,7 @@ func (c *Cache) GetContext(ctx context.Context, key string) (Metrics, bool) {
 	if c.backing != nil {
 		payload, ok, _ := c.backing.Get(ctx, key)
 		if ok && json.Unmarshal(payload, &m) == nil {
-			c.mem.put(key, m)
+			c.mem.Put(key, m)
 			c.hits.Add(1)
 			c.storeHits.Add(1)
 			return m, true
@@ -301,22 +302,11 @@ func (c *Cache) GetContext(ctx context.Context, key string) (Metrics, bool) {
 	return Metrics{}, false
 }
 
-// peek is the lock-cheap in-memory-only probe the single-flight path
-// uses for its post-join double check; it counts a hit (the caller is
-// about to report CacheHit) but never a miss.
-func (c *Cache) peek(key string) (Metrics, bool) {
-	m, ok := c.mem.get(key)
-	if ok {
-		c.hits.Add(1)
-	}
-	return m, ok
-}
-
 // Put stores the metrics under key, writing through to the backing
 // store when one is attached (the local tier synchronously, deeper
 // tiers on the store's write-back policy).
 func (c *Cache) Put(key string, m Metrics) {
-	c.mem.put(key, m)
+	c.mem.Put(key, m)
 	c.puts.Add(1)
 	if c.backing == nil {
 		return
@@ -329,7 +319,7 @@ func (c *Cache) Put(key string, m Metrics) {
 }
 
 // Len reports the number of in-memory entries.
-func (c *Cache) Len() int { return c.mem.len() }
+func (c *Cache) Len() int { return c.mem.Len() }
 
 // Stats returns the operation counters.
 func (c *Cache) Stats() CacheStats {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/sim/timing"
 )
@@ -90,14 +91,6 @@ type Engine struct {
 	wdTrips     map[string]int
 	quarantined map[string]bool
 
-	// Single-flight: identical in-flight cacheable jobs coalesce onto
-	// one execution (see singleflight.go).
-	flights *flightTable[attemptOutcome]
-	fstats  flightCounters
-	// flightHook, when set (tests only), runs in the flight runner
-	// just before the compile starts.
-	flightHook func(key string)
-
 	// submitSeq indexes Submit results in trace events (Run indexes
 	// by slice position instead).
 	submitSeq atomic.Int64
@@ -106,7 +99,7 @@ type Engine struct {
 	// simulation fields (see ProgramKey), with one compile per key in
 	// flight (see program.go).
 	progs    *programCache
-	pflights *flightTable[programOutcome]
+	pflights *memo.Flights[string, programOutcome]
 
 	// Skeleton tier: formation decision traces keyed on the
 	// parameter-independent part of the job (see SkeletonKey), shared
@@ -135,9 +128,8 @@ func New(cfg Config) *Engine {
 		workers: w, cache: c, timeout: cfg.Timeout, tracer: cfg.Tracer,
 		backoff: backoff, chaos: cfg.Chaos,
 		wdTrips: map[string]int{}, quarantined: map[string]bool{},
-		flights:  newFlightTable[attemptOutcome](),
 		progs:    newProgramCache(),
-		pflights: newFlightTable[programOutcome](),
+		pflights: memo.NewFlights[string, programOutcome](),
 		skel:     newSkeletonCache(c.Store()),
 		instLat:  metrics.NewWindow(instLatWindow),
 	}
@@ -158,10 +150,9 @@ type Result struct {
 	Index int
 	// Key is the content-addressed cache key ("" for uncacheable
 	// jobs); CacheHit reports that Metrics came from the cache;
-	// Coalesced reports that this submission joined another identical
-	// in-flight submission instead of compiling (cluster-wide
-	// single-flight: N concurrent identical requests cost one
-	// compile).
+	// Coalesced reports that this submission waited on a compile
+	// another submission with the same ProgramKey had started, instead
+	// of compiling (N concurrent identical requests cost one compile).
 	Key       string
 	CacheHit  bool
 	Coalesced bool
@@ -194,9 +185,8 @@ type Result struct {
 	// a cached formation skeleton rather than running the full greedy
 	// search. SkeletonFallbacks counts the functions within that
 	// replay that missed a recorded precondition and reran greedy
-	// formation. All three are set on the runner and every coalesced
-	// waiter alike, and are false on full-result cache hits, which did
-	// not compile at all.
+	// formation. All three are false on full-result cache hits, which
+	// did not compile at all.
 	ProgramHit        bool
 	SkeletonHit       bool
 	SkeletonFallbacks int
@@ -318,9 +308,12 @@ func (e *Engine) runOne(ctx context.Context, i int, j Job) Result {
 
 	inj := e.injector(j)
 	// Chaos perturbs the metrics, so chaos runs neither read nor
-	// write the cache (nor coalesce): a cached fault-free cycle count
-	// must never be returned for a chaos job, and vice versa.
+	// write the cache: a cached fault-free cycle count must never be
+	// returned for a chaos job, and vice versa. Chaos and custom-body
+	// jobs compile from source and neither read nor fill the program
+	// tier either.
 	cacheable := kerr == nil && inj == nil
+	compile := compileSource
 	if cacheable {
 		if m, ok := e.cache.GetContext(ctx, key); ok {
 			// Labels are display-only and excluded from the key, so
@@ -331,31 +324,28 @@ func (e *Engine) runOne(ctx context.Context, i int, j Job) Result {
 			r.CacheHit = true
 			return finish()
 		}
+		compile = e.program
 	}
 	timeout := j.Timeout
 	if timeout == 0 {
 		timeout = e.timeout
 	}
-	if cacheable {
-		// Identical concurrent submissions coalesce onto one compile;
-		// the shared outcome lands in the cache once.
-		e.runCoalesced(ctx, &r, j, key, qkey, timeout)
-		return finish()
-	}
-	// Chaos and custom-body jobs compile from source: neither reads
-	// nor fills the program tier.
-	o := e.attempt(ctx, j, timeout, inj, compileSource)
+	o := e.attempt(ctx, j, timeout, inj, compile)
 	r.Metrics, r.Err, r.Retries, r.WatchdogTrips = o.m, o.err, o.retries, o.wdTrips
+	r.Coalesced, r.ProgramHit = o.tier.coalesced, o.tier.programHit
+	r.SkeletonHit, r.SkeletonFallbacks = o.tier.skeletonHit, o.tier.fallbacks
 	if r.WatchdogTrips > 0 {
 		r.Quarantined = e.recordWatchdogTrips(qkey, r.WatchdogTrips)
+	}
+	if cacheable && r.Err == nil {
+		e.cache.Put(key, r.Metrics)
 	}
 	return finish()
 }
 
 // attemptOutcome is one execution's result: the metrics, the error,
-// and the retry/watchdog bookkeeping that feeds quarantine. Flight
-// runners also record the program- and skeleton-tier outcome here so
-// coalesced waiters report it identically.
+// the retry/watchdog bookkeeping that feeds quarantine, and how the
+// compile was served.
 type attemptOutcome struct {
 	m       Metrics
 	err     error
@@ -376,7 +366,7 @@ type attemptOutcome struct {
 // receive exactly one terminal result promptly.
 func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj timing.Injector, compile compileFunc) attemptOutcome {
 	var o attemptOutcome
-	o.m, o.err = runIsolated(ctx, j, timeout, inj, compile)
+	o.m, o.tier, o.err = runIsolated(ctx, j, timeout, inj, compile)
 	if o.err != nil && errors.Is(o.err, timing.ErrWatchdog) {
 		o.wdTrips++
 	}
@@ -385,7 +375,7 @@ func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj 
 		time.Sleep(e.backoff)
 		if ctx.Err() == nil {
 			o.retries = 1
-			o.m, o.err = runIsolated(ctx, j, timeout, inj, compile)
+			o.m, o.tier, o.err = runIsolated(ctx, j, timeout, inj, compile)
 			if o.err != nil && errors.Is(o.err, timing.ErrWatchdog) {
 				o.wdTrips++
 			}
@@ -400,10 +390,11 @@ func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj 
 // passed to the body, where the compiler's phase checkpoints and both
 // simulators poll it: on timeout or cancellation the body exits
 // cooperatively instead of the goroutine being abandoned mid-run.
-func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timing.Injector, compile compileFunc) (Metrics, error) {
+func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timing.Injector, compile compileFunc) (Metrics, tierOutcome, error) {
 	type outcome struct {
-		m   Metrics
-		err error
+		m    Metrics
+		tier tierOutcome
+		err  error
 	}
 	ctx := parent
 	cancel := context.CancelFunc(func() {})
@@ -419,8 +410,8 @@ func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timin
 					ErrPanic, j.Workload, j.Config, rec, debug.Stack())}
 			}
 		}()
-		m, err := j.execute(ctx, inj, compile)
-		done <- outcome{m, err}
+		m, tier, err := j.execute(ctx, inj, compile)
+		done <- outcome{m, tier, err}
 	}()
 	timeoutErr := func() error {
 		return fmt.Errorf("engine: job %s/%s exceeded %s: %w", j.Workload, j.Config, timeout, ErrTimeout)
@@ -428,24 +419,23 @@ func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timin
 	canceledErr := func() error {
 		return fmt.Errorf("%w: job %s/%s: %w", ErrCanceled, j.Workload, j.Config, context.Canceled)
 	}
-	classify := func(m Metrics, err error) (Metrics, error) {
+	classify := func(o outcome) (Metrics, tierOutcome, error) {
 		// The body may have observed the context itself and returned
 		// its error; normalize deadline hits to ErrTimeout and caller
 		// cancellations to ErrCanceled so every path classifies the
 		// same way.
 		switch {
-		case err == nil:
-			return m, nil
-		case errors.Is(err, context.DeadlineExceeded):
-			return m, timeoutErr()
-		case errors.Is(err, context.Canceled):
-			return m, canceledErr()
+		case o.err == nil:
+		case errors.Is(o.err, context.DeadlineExceeded):
+			o.err = timeoutErr()
+		case errors.Is(o.err, context.Canceled):
+			o.err = canceledErr()
 		}
-		return m, err
+		return o.m, o.tier, o.err
 	}
 	select {
 	case o := <-done:
-		return classify(o.m, o.err)
+		return classify(o)
 	case <-ctx.Done():
 		// The body may be one context poll away from returning its
 		// own, more informative outcome (a watchdog trip, partial
@@ -456,15 +446,15 @@ func runIsolated(parent context.Context, j Job, timeout time.Duration, inj timin
 		defer grace.Stop()
 		select {
 		case o := <-done:
-			return classify(o.m, o.err)
+			return classify(o)
 		case <-grace.C:
 		}
 		// Hard abort: the body is wedged in a non-cooperative phase.
 		// It still holds a goroutine until it reaches its next
 		// checkpoint, but the submission resolves now.
 		if errors.Is(ctx.Err(), context.Canceled) {
-			return Metrics{}, canceledErr()
+			return Metrics{}, tierOutcome{}, canceledErr()
 		}
-		return Metrics{}, timeoutErr()
+		return Metrics{}, tierOutcome{}, timeoutErr()
 	}
 }

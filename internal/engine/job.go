@@ -114,12 +114,6 @@ type Metrics struct {
 	// that produced them.
 	CompileNS int64 `json:"compile_ns"`
 	SimNS     int64 `json:"sim_ns"`
-
-	// tier is how the compile behind these metrics was served. It is
-	// engine-internal transport, not part of the measurement record:
-	// the flight runner moves it into the Result and clears it before
-	// the metrics are cached or handed to waiters.
-	tier tierOutcome
 }
 
 // MispredictRate returns mispredicts per multi-exit lookup.
@@ -159,11 +153,13 @@ type compiled struct {
 // tierOutcome records which engine tier served a compile: a cached or
 // in-flight program (programHit), or a compile that replayed a
 // formation skeleton (skeletonHit, with the functions whose replay
-// fell back to greedy formation).
+// fell back to greedy formation). coalesced marks a job that waited on
+// a compile another job started.
 type tierOutcome struct {
 	programHit  bool
 	skeletonHit bool
 	fallbacks   int
+	coalesced   bool
 }
 
 // compileFunc obtains a job's compiled program: compileSource compiles
@@ -186,10 +182,11 @@ func compileSource(ctx context.Context, j Job) (*compiled, tierOutcome, error) {
 // chaos fault injector for timing runs. On a simulator error the
 // returned Metrics still carry the partial run's counters, so a
 // watchdog abort's cycles-so-far and injected-fault counts reach the
-// trace.
-func (j Job) execute(ctx context.Context, inj timing.Injector, compile compileFunc) (Metrics, error) {
+// trace. The tier outcome says how compile served the program.
+func (j Job) execute(ctx context.Context, inj timing.Injector, compile compileFunc) (Metrics, tierOutcome, error) {
 	if j.Fn != nil {
-		return j.Fn()
+		m, err := j.Fn()
+		return m, tierOutcome{}, err
 	}
 	m := Metrics{Workload: j.Workload, Config: j.Config, Sim: j.Sim}
 
@@ -197,12 +194,11 @@ func (j Job) execute(ctx context.Context, inj timing.Injector, compile compileFu
 	c, tier, err := compile(ctx, j)
 	m.CompileNS = time.Since(t0).Nanoseconds()
 	if err != nil {
-		return m, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, err)
+		return m, tier, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, err)
 	}
 	m.Form = c.form
 	m.UP = c.up
 	m.Degraded = slices.Clone(c.degraded)
-	m.tier = tier
 
 	t1 := time.Now()
 	switch j.Sim {
@@ -227,13 +223,13 @@ func (j Job) execute(ctx context.Context, inj timing.Injector, compile compileFu
 		m.FaultsInjected = s.Faults.Total()
 		if rerr != nil {
 			m.SimNS = time.Since(t1).Nanoseconds()
-			return m, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, rerr)
+			return m, tier, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, rerr)
 		}
 	case SimFunctional:
 		mach := functional.New(c.prog)
 		v, err := mach.RunContext(ctx, j.entry(), j.Args...)
 		if err != nil {
-			return m, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, err)
+			return m, tier, fmt.Errorf("%s/%s: %w", j.Workload, j.Config, err)
 		}
 		s := mach.Stats
 		m.Result = v
@@ -246,8 +242,8 @@ func (j Job) execute(ctx context.Context, inj timing.Injector, compile compileFu
 		m.Stores = s.Stores
 		m.Calls = s.Calls
 	default:
-		return m, fmt.Errorf("%s/%s: engine: unknown simulator %q", j.Workload, j.Config, j.Sim)
+		return m, tier, fmt.Errorf("%s/%s: engine: unknown simulator %q", j.Workload, j.Config, j.Sim)
 	}
 	m.SimNS = time.Since(t1).Nanoseconds()
-	return m, nil
+	return m, tier, nil
 }

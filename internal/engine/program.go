@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/ir"
+	"repro/internal/memo"
 )
 
 // The program tier sits between the result cache and the skeleton
@@ -17,8 +18,9 @@ import (
 // first looks the compiled program up and, on a hit, only simulates.
 // A miss compiles exactly as before (replaying or recording the
 // formation skeleton) and publishes the program. Concurrent misses on
-// one program key share one compile through a flight table with the
-// result tier's lifecycle. The tier lives in memory only: it holds
+// one program key share one compile through a memo.Flights table, the
+// engine's one single flight: identical submissions, which share a
+// program key too, meet there. The tier lives in memory only: it holds
 // compact clones of at most programMemLimit programs, least recently
 // used evicted first, and never a profile or formation trace.
 
@@ -26,14 +28,15 @@ import (
 const programMemLimit = 16
 
 // programCache is the program tier: an LRU of compiled programs and
-// its lookup counters.
+// its hit counter. Its misses are the compiles its flight table
+// started.
 type programCache struct {
-	mem          *lru[*compiled]
-	hits, misses atomic.Int64
+	mem  *memo.LRU[*compiled]
+	hits atomic.Int64
 }
 
 func newProgramCache() *programCache {
-	return &programCache{mem: newLRU[*compiled](programMemLimit)}
+	return &programCache{mem: memo.NewLRU[*compiled](programMemLimit)}
 }
 
 // programOutcome is one program flight's result.
@@ -56,13 +59,24 @@ type ProgramStats struct {
 
 // ProgramStats snapshots the program tier.
 func (e *Engine) ProgramStats() ProgramStats {
-	return ProgramStats{Hits: e.progs.hits.Load(), Misses: e.progs.misses.Load(), Entries: e.progs.mem.len()}
+	return ProgramStats{Hits: e.progs.hits.Load(), Misses: e.pflights.Stats().Flights, Entries: e.progs.mem.Len()}
 }
+
+// FlightStats is the program flight table's counter snapshot: compiles
+// started (the program tier's misses), jobs that joined a running
+// compile, and compiles running now.
+type FlightStats = memo.FlightStats
+
+// FlightStats snapshots the program flight table.
+func (e *Engine) FlightStats() FlightStats { return e.pflights.Stats() }
 
 // program is the program tier's compileFunc: it returns j's compiled
 // program from the cache, from a running compile of it, or from a
-// compile it starts and publishes. ctx bounds only the wait: a waiter
-// that leaves never cancels a compile other waiters still want.
+// compile it starts, which publishes the program before its flight
+// ends. ctx bounds only the wait: a job that leaves never cancels a
+// compile other jobs still want, and the last one to leave cancels it
+// before program returns. A job whose ctx has already ended starts no
+// compile.
 func (e *Engine) program(ctx context.Context, j Job) (*compiled, tierOutcome, error) {
 	pkey, err := ProgramKey(j)
 	if err != nil {
@@ -70,49 +84,37 @@ func (e *Engine) program(ctx context.Context, j Job) (*compiled, tierOutcome, er
 	}
 	var c *compiled
 	var hit bool
-	f, fctx, joined := e.pflights.join(pkey, func() bool {
-		c, hit = e.progs.mem.get(pkey)
+	o, joined, ok := e.pflights.Do(ctx, pkey, func() bool {
+		c, hit = e.progs.mem.Get(pkey)
 		return !hit && ctx.Err() == nil
-	})
-	if f == nil {
-		if !hit {
-			return nil, tierOutcome{}, ctx.Err()
+	}, func(fctx context.Context) programOutcome {
+		o := e.compileFormed(fctx, j)
+		if o.err == nil {
+			e.progs.mem.Put(pkey, o.c)
 		}
+		return o
+	})
+	switch {
+	case hit:
 		e.progs.hits.Add(1)
 		return c, tierOutcome{programHit: true}, nil
-	}
-	if !joined {
-		e.progs.misses.Add(1)
-		go e.compileFlight(fctx, f, j, pkey)
-	}
-	o, ok := e.pflights.wait(ctx, pkey, f)
-	switch {
 	case !ok:
-		return nil, tierOutcome{}, ctx.Err()
+		return nil, tierOutcome{coalesced: joined}, ctx.Err()
 	case joined && o.err == nil:
-		// A joined waiter counts as a hit only once the shared
-		// compile has produced a program.
+		// A joined job counts as a hit only once the shared compile
+		// has produced a program.
 		e.progs.hits.Add(1)
-		return o.c, tierOutcome{programHit: true}, nil
+		return o.c, tierOutcome{programHit: true, coalesced: true}, nil
 	}
+	o.tier.coalesced = joined
 	return o.c, o.tier, o.err
-}
-
-// compileFlight is a program flight's runner: compile, publish the
-// program, then resolve the flight.
-func (e *Engine) compileFlight(fctx context.Context, f *flight[programOutcome], j Job, pkey string) {
-	o := e.compileFormed(fctx, j)
-	if o.err == nil {
-		e.progs.mem.put(pkey, o.c)
-	}
-	e.pflights.finish(pkey, f, o)
 }
 
 // compileFormed compiles j through the skeleton tier: a hit replays
 // the recorded formation trace, a miss records one and publishes it.
 // The program it returns is a compact clone of the compiler's output,
 // since merging leaves slack in the instruction slices the cache would
-// otherwise retain. A panic resolves to an ErrPanic error: the runner
+// otherwise retain. A panic resolves to an ErrPanic error: the flight
 // goroutine has no caller to recover it.
 func (e *Engine) compileFormed(ctx context.Context, j Job) (o programOutcome) {
 	defer func() {

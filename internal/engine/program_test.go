@@ -82,7 +82,7 @@ func cachedText(t *testing.T, e *Engine, j Job) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := e.progs.mem.get(pkey)
+	c, ok := e.progs.mem.Get(pkey)
 	if !ok {
 		t.Fatalf("%s/%s: no cached program", j.Workload, j.Config)
 	}
@@ -186,18 +186,6 @@ func TestProgramTierConcurrentSimulation(t *testing.T) {
 	}
 }
 
-// programWaiters counts the jobs waiting on e's program flights, the
-// jobs that started them included.
-func programWaiters(e *Engine) int {
-	e.pflights.mu.Lock()
-	defer e.pflights.mu.Unlock()
-	n := 0
-	for _, f := range e.pflights.m {
-		n += f.waiters
-	}
-	return n
-}
-
 // sharedCompile submits n concurrent jobs with one program key but
 // distinct result keys. The compile's checkpoint holds it until all n
 // wait on the program flight, then returns fail.
@@ -206,7 +194,7 @@ func sharedCompile(n int, fail error) (*Engine, []Result) {
 	var once sync.Once
 	hold := func() error {
 		once.Do(func() {
-			for programWaiters(e) < n {
+			for e.FlightStats().Coalesced < int64(n-1) {
 				time.Sleep(time.Millisecond)
 			}
 		})
@@ -231,14 +219,14 @@ func sharedCompile(n int, fail error) (*Engine, []Result) {
 
 // TestProgramFlightSharesCompile: concurrent jobs with one program key
 // share one compile, and every job but the one that started it reports
-// a program hit.
+// that it joined the compile and got a program hit.
 func TestProgramFlightSharesCompile(t *testing.T) {
 	const n = 6
 	e, results := sharedCompile(n, nil)
 	hits := 0
 	for i, r := range results {
-		if r.Err != nil || r.Coalesced {
-			t.Fatalf("job %d: err=%v Coalesced=%v", i, r.Err, r.Coalesced)
+		if r.Err != nil || r.Coalesced != r.ProgramHit {
+			t.Fatalf("job %d: err=%v Coalesced=%v ProgramHit=%v", i, r.Err, r.Coalesced, r.ProgramHit)
 		}
 		if r.ProgramHit {
 			hits++
@@ -273,9 +261,10 @@ func TestProgramFlightFailedCompile(t *testing.T) {
 }
 
 // TestProgramFlightWaiterLeaves: the job that started a compile may
-// leave without killing it while another job still waits on it; once
-// the last waiter leaves, the compile is canceled and nothing is
-// published.
+// leave without killing it while another job still waits on it. A lone
+// job that leaves has left the program flight, and canceled its
+// compile, by the time its Submit returns; the compile then stops at
+// its next checkpoint and is never published.
 func TestProgramFlightWaiterLeaves(t *testing.T) {
 	e := New(Config{Workers: 4})
 	started := make(chan struct{})
@@ -301,7 +290,7 @@ func TestProgramFlightWaiterLeaves(t *testing.T) {
 	<-started
 	survivor := make(chan Result, 1)
 	go func() { survivor <- e.Submit(context.Background(), job(2)) }()
-	for programWaiters(e) < 2 {
+	for e.FlightStats().Coalesced < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
@@ -310,80 +299,31 @@ func TestProgramFlightWaiterLeaves(t *testing.T) {
 	}
 	close(release)
 	r := <-survivor
-	if r.Err != nil || !r.ProgramHit || r.Metrics.Form.Merges <= 0 {
-		t.Fatalf("survivor: err=%v ProgramHit=%v metrics=%+v", r.Err, r.ProgramHit, r.Metrics)
+	if r.Err != nil || !r.ProgramHit || !r.Coalesced || r.Metrics.Form.Merges <= 0 {
+		t.Fatalf("survivor: err=%v ProgramHit=%v Coalesced=%v metrics=%+v", r.Err, r.ProgramHit, r.Coalesced, r.Metrics)
 	}
 	if s := e.ProgramStats(); s.Misses != 1 || s.Entries != 1 {
 		t.Fatalf("program stats %+v, want the one compile published", s)
 	}
 
-	// A compile whose only waiter leaves is canceled at its next
-	// checkpoint and never published. Cancellation is cooperative: the
-	// waiter's Submit returns at once, and the result flight's runner
-	// carries the cancellation down to the program flight when it next
-	// runs. So the test releases the held compile only once that has
-	// happened; on one CPU the released compile could otherwise finish
-	// first.
 	e = New(Config{Workers: 1})
 	started, release, once = make(chan struct{}), make(chan struct{}), sync.Once{}
 	ctx, cancel = context.WithCancel(context.Background())
 	lone := make(chan Result, 1)
 	go func() { lone <- e.Submit(ctx, job(3)) }()
 	<-started
-	canceled := make(chan struct{})
-	var canceledOnce sync.Once
-	e.pflights.mu.Lock()
-	var f *flight[programOutcome]
-	for _, f = range e.pflights.m {
-	}
-	cancelCompile := f.cancel
-	f.cancel = func() {
-		cancelCompile()
-		canceledOnce.Do(func() { close(canceled) })
-	}
-	e.pflights.mu.Unlock()
 	cancel()
 	if r := <-lone; !errors.Is(r.Err, ErrCanceled) {
 		t.Fatalf("lone waiter error = %v, want ErrCanceled", r.Err)
 	}
-	select {
-	case <-canceled:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the last waiter left, but the program flight was never canceled")
-	}
-	if n := programWaiters(e); n != 0 {
-		t.Fatalf("%d program-flight waiters after the last one left", n)
+	if n := e.pflights.Len(); n != 0 {
+		t.Fatalf("%d program flights once the lone waiter's Submit returned, want 0", n)
 	}
 	close(release)
-	<-f.done
-	if !errors.Is(f.out.err, context.Canceled) {
-		t.Fatalf("abandoned compile ended with %v, want context.Canceled", f.out.err)
+	for e.FlightStats().Inflight != 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if s := e.ProgramStats(); s.Entries != 0 {
+	if s := e.ProgramStats(); s.Misses != 1 || s.Entries != 0 {
 		t.Fatalf("program stats %+v: an abandoned compile was published", s)
-	}
-}
-
-// TestLRU: the tiers' memory layer holds its limit and evicts the
-// least recently used entry.
-func TestLRU(t *testing.T) {
-	c := newLRU[int](programMemLimit)
-	for i := range programMemLimit {
-		c.put(fmt.Sprint(i), i)
-	}
-	c.get("0") // now most recently used
-	c.put("new", -1)
-	if _, ok := c.get("1"); ok {
-		t.Error("least recently used entry survived eviction")
-	}
-	if v, ok := c.get("0"); !ok || v != 0 {
-		t.Errorf("get(0) = %v, %v; want 0, true", v, ok)
-	}
-	if v, ok := c.get("new"); !ok || v != -1 {
-		t.Errorf("get(new) = %v, %v; want -1, true", v, ok)
-	}
-	c.put("0", 7) // an update keeps one entry
-	if v, _ := c.get("0"); v != 7 || c.len() != programMemLimit || c.order.Len() != programMemLimit {
-		t.Errorf("after update: get(0) = %d, %d entries (%d ordered), want 7 and %d", v, c.len(), c.order.Len(), programMemLimit)
 	}
 }

@@ -3,8 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,44 +20,45 @@ func coalesceJob() Job {
 	return Job{Workload: "w", Config: "base", Source: coalesceSrc, Args: []int64{64}}
 }
 
+// heldJob is coalesceJob with a compile checkpoint that runs wait once,
+// on the first checkpoint any compile of it reaches.
+func heldJob(wait func()) Job {
+	var once sync.Once
+	j := coalesceJob()
+	j.Opts.Checkpoint = func() error {
+		once.Do(wait)
+		return nil
+	}
+	return j
+}
+
 // TestSingleFlightCoalesces submits N identical cacheable jobs
-// concurrently and proves exactly one compile ran: the flight hook
-// holds the runner until every other submission has joined the
-// flight, so the schedule that matters — all N in flight at once — is
-// forced, not hoped for.
+// concurrently and proves exactly one compile ran: the compile's
+// checkpoint holds it until every other submission has joined its
+// program flight, so the schedule that matters — all N in flight at
+// once — is forced, not hoped for. Every job then gets the same
+// metrics, simulated from the one shared program.
 func TestSingleFlightCoalesces(t *testing.T) {
 	const n = 8
 	e := New(Config{Workers: n})
-	var compiles atomic.Int32
-	release := make(chan struct{})
-	e.flightHook = func(key string) {
-		compiles.Add(1)
-		<-release
-	}
-	go func() {
-		// Let the runner go once the other n-1 submissions have joined.
+	j := heldJob(func() {
 		for e.FlightStats().Coalesced < n-1 {
 			time.Sleep(time.Millisecond)
 		}
-		close(release)
-	}()
+	})
 
 	var wg sync.WaitGroup
 	results := make([]Result, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			results[i] = e.Submit(context.Background(), coalesceJob())
-		}(i)
+			results[i] = e.Submit(context.Background(), j)
+		}()
 	}
 	wg.Wait()
 
-	if got := compiles.Load(); got != 1 {
-		t.Fatalf("%d identical concurrent submissions compiled %d times, want 1", n, got)
-	}
-	var coalesced int
-	var cycles int64
+	coalesced := 0
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("result %d: %v", i, r.Err)
@@ -65,54 +66,50 @@ func TestSingleFlightCoalesces(t *testing.T) {
 		if r.Metrics.Form.Merges <= 0 {
 			t.Fatalf("result %d: empty metrics %+v", i, r.Metrics)
 		}
-		if cycles == 0 {
-			cycles = r.Metrics.CompileNS
-		} else if r.Metrics.CompileNS != cycles {
-			t.Fatalf("result %d: compile_ns %d != %d — waiters saw different outcomes", i, r.Metrics.CompileNS, cycles)
-		}
+		sameMetrics(t, fmt.Sprintf("result %d", i), r.Metrics, results[0].Metrics)
 		if r.Coalesced {
 			coalesced++
+			if !r.ProgramHit {
+				t.Fatalf("result %d joined the compile but reports no program hit", i)
+			}
 		}
 	}
 	if coalesced != n-1 {
 		t.Fatalf("Coalesced on %d results, want %d", coalesced, n-1)
 	}
-	fs := e.FlightStats()
-	if fs.Flights != 1 || fs.Coalesced != n-1 || fs.Inflight != 0 {
-		t.Fatalf("FlightStats = %+v", fs)
+	if fs := e.FlightStats(); fs != (FlightStats{Flights: 1, Coalesced: n - 1}) {
+		t.Fatalf("FlightStats = %+v, want 1 compile, %d joined, none running", fs, n-1)
 	}
-	st := e.Cache().Stats()
-	if st.Puts != 1 {
-		t.Fatalf("cache puts = %d, want 1 (one publish per flight)", st.Puts)
+	if s := e.ProgramStats(); s.Misses != 1 || s.Hits != n-1 {
+		t.Fatalf("program stats %+v, want 1 miss and %d hits", s, n-1)
 	}
 
 	// The published entry makes the next submission a plain cache hit.
-	r := e.Submit(context.Background(), coalesceJob())
+	r := e.Submit(context.Background(), j)
 	if !r.CacheHit || r.Coalesced {
 		t.Fatalf("post-flight submission: CacheHit=%v Coalesced=%v", r.CacheHit, r.Coalesced)
 	}
 }
 
 // TestSingleFlightWaiterCancellation: a waiter whose context dies
-// leaves the flight without killing it; the surviving waiters get the
-// real outcome, and only when the last waiter leaves is the flight's
-// own context canceled.
+// leaves the compile without killing it; the surviving waiter gets the
+// real outcome.
 func TestSingleFlightWaiterCancellation(t *testing.T) {
 	e := New(Config{Workers: 4})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	e.flightHook = func(key string) {
+	j := heldJob(func() {
 		close(started)
 		<-release
-	}
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	canceledRes := make(chan Result, 1)
-	go func() { canceledRes <- e.Submit(ctx, coalesceJob()) }()
+	go func() { canceledRes <- e.Submit(ctx, j) }()
 	<-started
 
 	survivorRes := make(chan Result, 1)
-	go func() { survivorRes <- e.Submit(context.Background(), coalesceJob()) }()
+	go func() { survivorRes <- e.Submit(context.Background(), j) }()
 	for e.FlightStats().Coalesced < 1 {
 		time.Sleep(time.Millisecond)
 	}
@@ -123,22 +120,22 @@ func TestSingleFlightWaiterCancellation(t *testing.T) {
 		t.Fatalf("canceled waiter error = %v, want ErrCanceled", r.Err)
 	}
 
-	// The flight is still alive (the survivor holds it open).
-	if fs := e.FlightStats(); fs.Inflight != 1 {
-		t.Fatalf("Inflight = %d after one waiter left, want 1", fs.Inflight)
+	// The compile is still running (the survivor holds it open).
+	if fs, n := e.FlightStats(), e.pflights.Len(); fs.Inflight != 1 || n != 1 {
+		t.Fatalf("after one waiter left: Inflight = %d, %d flights; want 1 and 1", fs.Inflight, n)
 	}
 	close(release)
 	rs := <-survivorRes
-	if rs.Err != nil || rs.Metrics.Form.Merges <= 0 {
-		t.Fatalf("survivor got err=%v metrics=%+v", rs.Err, rs.Metrics)
+	if rs.Err != nil || !rs.Coalesced || rs.Metrics.Form.Merges <= 0 {
+		t.Fatalf("survivor got err=%v Coalesced=%v metrics=%+v", rs.Err, rs.Coalesced, rs.Metrics)
 	}
 }
 
 // TestSingleFlightDeadSubmission: a submission whose context already
-// ended when it misses the cache resolves the way a departing waiter
-// does — ErrCanceled for a canceled context, ErrTimeout for an expired
-// deadline — and starts no flight, so a client that left before its
-// turn never counts as a compile.
+// ended when it misses the cache resolves with ErrCanceled for a
+// canceled context and ErrTimeout for an expired deadline, and starts
+// no compile, so a client that left before its turn never counts as
+// one.
 func TestSingleFlightDeadSubmission(t *testing.T) {
 	e := New(Config{Workers: 2})
 	canceled, cancel := context.WithCancel(context.Background())
@@ -152,27 +149,26 @@ func TestSingleFlightDeadSubmission(t *testing.T) {
 		t.Fatalf("expired submission error = %v, want ErrTimeout", r.Err)
 	}
 	if fs := e.FlightStats(); fs.Flights != 0 || fs.Inflight != 0 {
-		t.Fatalf("dead submissions started flights: %+v", fs)
+		t.Fatalf("dead submissions started compiles: %+v", fs)
 	}
 }
 
-// TestSingleFlightPublishRace: the runner's publish and a fresh
-// submission racing the flight teardown must converge on the cache —
-// the post-join peek under the flight lock means a submission can
-// never both miss the cache and miss the flight. Hammer the window
-// with many rounds of concurrent pairs and count total compiles: each
-// distinct key must compile exactly once.
+// TestSingleFlightPublishRace: a compile's publish and a fresh
+// submission racing the flight teardown must converge on the program
+// tier. The flight publishes before it leaves the table, and a starting
+// submission re-probes the tier under the table lock, so a submission
+// can never miss both. Hammer the window with many rounds of concurrent
+// identical submissions and count compiles: each program must compile
+// exactly once. Each round changes the source, since jobs that differ
+// only in Args share a program.
 func TestSingleFlightPublishRace(t *testing.T) {
 	e := New(Config{Workers: 8})
-	var compiles atomic.Int32
-	e.flightHook = func(key string) { compiles.Add(1) }
-
 	const rounds = 40
-	for i := 0; i < rounds; i++ {
+	for i := range rounds {
 		j := coalesceJob()
-		j.Args = []int64{int64(100 + i)} // fresh key each round
+		j.Source = fmt.Sprintf("%s\n// round %d\n", coalesceSrc, i)
 		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
+		for range 4 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -183,7 +179,7 @@ func TestSingleFlightPublishRace(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if got := compiles.Load(); got != rounds {
-		t.Fatalf("%d keys compiled %d times, want exactly one compile per key", rounds, got)
+	if got := e.FlightStats().Flights; got != rounds {
+		t.Fatalf("%d programs compiled %d times, want exactly one compile per program", rounds, got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/store"
 )
 
@@ -34,20 +35,20 @@ const instLatWindow = 256
 // write-through JSON persistence to the shared artifact store.
 type skeletonCache struct {
 	backing store.Store // nil: memory-only
-	mem     *lru[*core.ProgramTrace]
+	mem     *memo.LRU[*core.ProgramTrace]
 
 	hits, misses, storeHits atomic.Int64
 	puts, fallbacks         atomic.Int64
 }
 
 func newSkeletonCache(backing store.Store) *skeletonCache {
-	return &skeletonCache{backing: backing, mem: newLRU[*core.ProgramTrace](skeletonMemLimit)}
+	return &skeletonCache{backing: backing, mem: memo.NewLRU[*core.ProgramTrace](skeletonMemLimit)}
 }
 
 // get returns the decoded trace for key, consulting memory and then
 // the backing store (promoting store hits).
 func (c *skeletonCache) get(ctx context.Context, key string) (*core.ProgramTrace, bool) {
-	if tr, ok := c.mem.get(key); ok {
+	if tr, ok := c.mem.Get(key); ok {
 		c.hits.Add(1)
 		return tr, true
 	}
@@ -56,7 +57,7 @@ func (c *skeletonCache) get(ctx context.Context, key string) (*core.ProgramTrace
 		if ok {
 			tr := &core.ProgramTrace{}
 			if json.Unmarshal(payload, tr) == nil && tr.Funcs != nil {
-				c.mem.put(key, tr)
+				c.mem.Put(key, tr)
 				c.hits.Add(1)
 				c.storeHits.Add(1)
 				return tr, true
@@ -69,7 +70,7 @@ func (c *skeletonCache) get(ctx context.Context, key string) (*core.ProgramTrace
 
 // put stores the trace, writing through to the backing store.
 func (c *skeletonCache) put(key string, tr *core.ProgramTrace) {
-	c.mem.put(key, tr)
+	c.mem.Put(key, tr)
 	c.puts.Add(1)
 	if c.backing == nil {
 		return

@@ -17,9 +17,9 @@ type Event struct {
 	Sim      SimKind `json:"sim,omitempty"`
 	Key      string  `json:"key,omitempty"`
 	CacheHit bool    `json:"cache_hit"`
-	// Coalesced marks a submission that joined an identical in-flight
-	// compile instead of executing (single-flight); ProgramHit one the
-	// program tier served without compiling.
+	// Coalesced marks a submission that waited on a compile another
+	// submission started; ProgramHit one the program tier served
+	// without compiling.
 	Coalesced  bool   `json:"coalesced,omitempty"`
 	ProgramHit bool   `json:"program_hit,omitempty"`
 	Error      string `json:"error,omitempty"`

@@ -150,8 +150,8 @@ func clusterURLs(shards []*clusterShard) []string {
 	return urls
 }
 
-// totalCompiles sums actual engine executions across the cluster:
-// every cacheable compile runs as exactly one single-flight flight.
+// totalCompiles sums actual engine compiles across the cluster: every
+// cacheable compile runs as exactly one program flight.
 func totalCompiles(shards []*clusterShard) int64 {
 	var n int64
 	for _, s := range shards {

@@ -22,10 +22,13 @@
 //   - Single-flight: identical concurrent requests coalesce on the
 //     front by cache key and deadline before any shard is touched, so
 //     a thundering herd of N identical requests crosses the network
-//     once and costs exactly one compile cluster-wide. The shard's
-//     engine coalesces too, but only after each request has taken a
-//     queue slot and a worker: without the front's flight a herd
-//     fills the primary's queue, sheds, and hedges onto the secondary.
+//     once and costs exactly one compile cluster-wide. The flight runs
+//     on memo.Flights, the table the shard's engine runs its program
+//     flight on, with the same lifecycle: the last waiter to leave
+//     cancels the upstream tries. The shard's engine coalesces too,
+//     but only after each request has taken a queue slot and a worker:
+//     without the front's flight a herd fills the primary's queue,
+//     sheds, and hedges onto the secondary.
 //
 // Topology changes arrive one way, through ApplyView: a waiter is
 // bound to exactly one flight, and a flight keeps the shard set it
@@ -47,6 +50,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/memo"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/workloads"
@@ -120,12 +124,6 @@ type upstream struct {
 	err          error
 }
 
-// flight is one coalesced in-flight request on the front tier.
-type flight struct {
-	done chan struct{}
-	out  upstream
-}
-
 // Front is the router. Build with New, mount Handler, Drain on
 // shutdown.
 type Front struct {
@@ -133,12 +131,11 @@ type Front struct {
 	byName map[string]*workloads.Workload
 	client *http.Client
 
-	// mu guards set, flights, pool and draining; admission holds it
-	// across the draining check and the flight join (same discipline
-	// as the server's drain).
+	// mu guards set, pool and draining; admission holds it across the
+	// draining check and the in-flight increment (same discipline as
+	// the server's drain).
 	mu       sync.RWMutex
 	set      *shardSet
-	flights  map[flightKey]*flight
 	draining bool
 	// pool keeps one shard struct per member URL across
 	// membership-driven set rebuilds, so latency history and counters
@@ -150,10 +147,11 @@ type Front struct {
 
 	inflight  sync.WaitGroup
 	inflightN atomic.Int64
+	// flights coalesces identical concurrent requests.
+	flights *memo.Flights[flightKey, upstream]
 
 	start     time.Time
 	requests  atomic.Int64
-	coalesced atomic.Int64
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
 	failovers atomic.Int64
@@ -192,7 +190,7 @@ func New(cfg Config) (*Front, error) {
 		byName:  server.Catalog(),
 		client:  cfg.Client,
 		set:     set,
-		flights: map[flightKey]*flight{},
+		flights: memo.NewFlights[flightKey, upstream](),
 		start:   time.Now(),
 		counts:  map[server.ErrClass]*atomic.Int64{},
 	}
@@ -381,10 +379,8 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := f.timeout(req)
 
-	// Admission: the lock spans the draining check, the flight
-	// join/create, and the in-flight increment, so Drain can never
-	// slip between them.
-	fk := flightKey{key: key, timeoutMS: req.TimeoutMS}
+	// Admission: the lock spans the draining check and the in-flight
+	// increment, so Drain can never slip between them.
 	f.mu.Lock()
 	if f.draining {
 		f.mu.Unlock()
@@ -393,53 +389,35 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	f.inflight.Add(1)
 	f.inflightN.Add(1)
+	set := f.set
+	f.mu.Unlock()
 	defer func() {
 		f.inflightN.Add(-1)
 		f.inflight.Done()
 	}()
-	fl, joined := f.flights[fk]
-	if !joined {
-		fl = &flight{done: make(chan struct{})}
-		f.flights[fk] = fl
-		go f.runFlight(fk, fl, f.set, body, timeout)
-	}
-	f.mu.Unlock()
-	if joined {
-		f.coalesced.Add(1)
-	}
 
+	// The flight's own deadline matches the initiating request's,
+	// anchored when it starts; a waiter that leaves early leaves the
+	// flight to the others, and the last one out cancels it.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	select {
-	case <-fl.done:
-		u := fl.out
-		if joined {
-			u.coalesced = true
-		}
-		f.respond(w, u)
-	case <-ctx.Done():
-		// This waiter's deadline (or client) ended first; the flight
-		// keeps running for the others. Exactly one response either
-		// way.
+	u, joined, ok := f.flights.Do(ctx, flightKey{key: key, timeoutMS: req.TimeoutMS}, nil,
+		func(fctx context.Context) upstream {
+			tctx, stop := context.WithTimeout(fctx, timeout)
+			defer stop()
+			return f.hedgedDo(tctx, set, key, body)
+		})
+	if !ok {
+		// This waiter's deadline (or client) ended first. Exactly one
+		// response either way.
 		f.respond(w, synthesize(server.ClassTimeout,
 			"front: deadline expired waiting for the coalesced flight", 0))
+		return
 	}
-}
-
-// runFlight executes one coalesced request against the shard set and
-// publishes the outcome. The flight's own deadline matches the
-// initiating request's, anchored now, independent of any one waiter's
-// connection.
-func (f *Front) runFlight(fk flightKey, fl *flight, set *shardSet, body []byte, timeout time.Duration) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	fl.out = f.hedgedDo(ctx, set, fk.key, body)
-	cancel()
-	f.mu.Lock()
-	if f.flights[fk] == fl {
-		delete(f.flights, fk)
+	if joined {
+		u.coalesced = true
 	}
-	f.mu.Unlock()
-	close(fl.done)
+	f.respond(w, u)
 }
 
 // hedgedDo routes one request: primary by rendezvous rank, then the

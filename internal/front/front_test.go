@@ -2,6 +2,7 @@ package front
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -241,7 +242,7 @@ func TestFrontCoalesce(t *testing.T) {
 	defer srv.Close()
 
 	go func() {
-		for f.coalesced.Load() < n-1 {
+		for f.flights.Stats().Coalesced < n-1 {
 			time.Sleep(time.Millisecond)
 		}
 		close(release)
@@ -280,6 +281,63 @@ func TestFrontCoalesce(t *testing.T) {
 	st := f.StatusSnapshot()
 	if st.Coalesced != n-1 {
 		t.Fatalf("Coalesced = %d, want %d", st.Coalesced, n-1)
+	}
+}
+
+// TestFrontFlightCanceledWhenWaitersLeave: a waiter that leaves a
+// front flight leaves it to the others, and once the last waiter has
+// left, the upstream try's context is canceled instead of running on
+// to the flight's own deadline.
+func TestFrontFlightCanceledWhenWaitersLeave(t *testing.T) {
+	arrived := make(chan struct{})
+	canceled := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		close(arrived)
+		<-r.Context().Done()
+		close(canceled)
+	})
+	s := httptest.NewServer(mux)
+	defer s.Close()
+	f, err := New(Config{Shards: []string{s.URL}, HedgeAfter: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := testRequest()
+	req.TimeoutMS = 60_000
+	body, _ := json.Marshal(req)
+	wait := func(ctx context.Context, done chan<- server.ErrClass) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		f.Handler().ServeHTTP(w, r)
+		done <- server.ErrClass(w.Header().Get("X-Hbserved-Class"))
+	}
+
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	done := make(chan server.ErrClass, 2)
+	go wait(ctx1, done)
+	<-arrived
+	go wait(ctx2, done)
+	for f.flights.Stats().Coalesced < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel1()
+	if c := <-done; c != server.ClassTimeout {
+		t.Fatalf("first waiter to leave got class %q, want %q", c, server.ClassTimeout)
+	}
+	if n := f.flights.Len(); n != 1 {
+		t.Fatalf("%d flights after one of two waiters left, want 1", n)
+	}
+	cancel2()
+	if c := <-done; c != server.ClassTimeout {
+		t.Fatalf("last waiter to leave got class %q, want %q", c, server.ClassTimeout)
+	}
+	select {
+	case <-canceled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("every waiter left the flight, but its upstream try was not canceled")
 	}
 }
 

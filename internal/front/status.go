@@ -88,7 +88,7 @@ func (f *Front) StatusSnapshot() Status {
 		Draining:             draining,
 		Requests:             f.requests.Load(),
 		Inflight:             f.inflightN.Load(),
-		Coalesced:            f.coalesced.Load(),
+		Coalesced:            f.flights.Stats().Coalesced,
 		CacheHits:            f.cacheHits.Load(),
 		ProgramHits:          f.progHits.Load(),
 		SkeletonHits:         f.skelHits.Load(),

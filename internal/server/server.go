@@ -189,8 +189,8 @@ type Response struct {
 	Workload  string `json:"workload,omitempty"`
 	ClassName string `json:"workload_class,omitempty"`
 	// CacheHit/Coalesced/Retries/Quarantined/WallMS summarize
-	// execution (Coalesced: the request joined an identical in-flight
-	// compile instead of running its own — single-flight).
+	// execution (Coalesced: the request waited on a compile another
+	// request started instead of running its own).
 	CacheHit    bool    `json:"cache_hit,omitempty"`
 	Coalesced   bool    `json:"coalesced,omitempty"`
 	Retries     int     `json:"retries,omitempty"`
@@ -685,7 +685,8 @@ type Status struct {
 	Overload OverloadStatus `json:"overload"`
 	// Cache is the engine result cache's hit/miss surface; Store
 	// breaks the backing artifact tiers down (nil when memory-only);
-	// Flights is the engine's single-flight coalescing surface.
+	// Flights counts the engine's program flights: compiles started,
+	// requests that joined one, and compiles running.
 	Cache   engine.CacheStats  `json:"cache"`
 	Store   *store.Stats       `json:"store,omitempty"`
 	Flights engine.FlightStats `json:"flights"`

@@ -111,11 +111,6 @@ type Machine struct {
 
 	steps int64
 	depth int
-
-	// TraceBlock, when set to "fn.block", prints a one-line timing
-	// summary for each execution of that block (debugging aid).
-	TraceBlock string
-	traced     int
 }
 
 // funcMeta is the per-function cache backing the predictor fast path:
@@ -363,7 +358,6 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 	// logically zero again without touching the backing arrays.
 	m.issueGenID++
 	gen := m.issueGenID
-	issueSlots := 0 // distinct issue cycles used (trace reporting)
 	blockDone := readyBase
 	exitOutcome := 0
 	exitResolve := int64(0)
@@ -412,7 +406,6 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 		if m.issueGen[off] != gen {
 			m.issueGen[off] = gen
 			m.issueCnt[off] = 1
-			issueSlots++
 		} else {
 			m.issueCnt[off]++
 		}
@@ -570,12 +563,6 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 	if len(m.inflight) > keep+64 {
 		n := copy(m.inflight, m.inflight[len(m.inflight)-keep:])
 		m.inflight = m.inflight[:n]
-	}
-
-	if m.TraceBlock == f.Name+"."+b.Name && m.traced < 8 {
-		m.traced++
-		fmt.Printf("trace %s: fetch=%d readyBase=%d blockDone=%d span=%d commit=%d exec=%d\n",
-			m.TraceBlock, fetchStart, readyBase, blockDone, blockDone-readyBase, commitDone, issueSlots)
 	}
 
 	// Next-block prediction (returns and calls are handled by

@@ -2,29 +2,33 @@ package store
 
 import (
 	"context"
-	"sync"
+
+	"repro/internal/memo"
 )
 
-// Mem is the in-process store: a plain map of verified payloads. It
-// backs cache-dir-less hbserved nodes so their artifacts are still
+// memLimit bounds the in-process store. It holds the engine's results
+// and the formation skeletons their compiles record, so it keeps twice
+// the entries of the engine's 4,096-entry result LRU.
+const memLimit = 8192
+
+// Mem is the in-process store: a bounded map of verified payloads that
+// evicts the least recently used entry past memLimit. It backs
+// cache-dir-less hbserved nodes so their artifacts are still
 // peer-addressable, and it is the natural test double.
 type Mem struct {
-	mu sync.RWMutex
-	m  map[string][]byte
+	lru *memo.LRU[[]byte]
 	counters
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{m: map[string][]byte{}}
+	return &Mem{lru: memo.NewLRU[[]byte](memLimit)}
 }
 
 // Get returns a copy of the stored payload.
 func (s *Mem) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	s.gets.Add(1)
-	s.mu.RLock()
-	p, ok := s.m[key]
-	s.mu.RUnlock()
+	p, ok := s.lru.Get(key)
 	if !ok {
 		s.misses.Add(1)
 		return nil, false, nil
@@ -39,9 +43,7 @@ func (s *Mem) Get(ctx context.Context, key string) ([]byte, bool, error) {
 func (s *Mem) Put(ctx context.Context, key string, payload []byte) error {
 	p := make([]byte, len(payload))
 	copy(p, payload)
-	s.mu.Lock()
-	s.m[key] = p
-	s.mu.Unlock()
+	s.lru.Put(key, p)
 	s.puts.Add(1)
 	return nil
 }
@@ -49,21 +51,11 @@ func (s *Mem) Put(ctx context.Context, key string, payload []byte) error {
 // Keys lists the stored keys. Implements Lister for the anti-entropy
 // sweeper.
 func (s *Mem) Keys(ctx context.Context) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	return keys, nil
+	return s.lru.Keys(), nil
 }
 
 // Len reports the number of stored entries.
-func (s *Mem) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
+func (s *Mem) Len() int { return s.lru.Len() }
 
 // Stat snapshots the counters.
 func (s *Mem) Stat(ctx context.Context) (Stats, error) {

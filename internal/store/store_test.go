@@ -225,6 +225,29 @@ func TestMemStore(t *testing.T) {
 	}
 }
 
+// TestMemStoreIsBounded: the in-process store keeps its memLimit most
+// recently used entries, and the sweeper's key list shrinks with it.
+func TestMemStoreIsBounded(t *testing.T) {
+	m := NewMem()
+	ctx := context.Background()
+	const extra = 100
+	for i := range memLimit + extra {
+		if err := m.Put(ctx, key(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys, _ := m.Keys(ctx)
+	if m.Len() != memLimit || len(keys) != memLimit {
+		t.Fatalf("after %d distinct puts: Len = %d, %d keys; want %d", memLimit+extra, m.Len(), len(keys), memLimit)
+	}
+	if _, ok, _ := m.Get(ctx, key(extra-1)); ok {
+		t.Error("an entry past the bound survived")
+	}
+	if _, ok, _ := m.Get(ctx, key(memLimit+extra-1)); !ok {
+		t.Error("the most recent entry was evicted")
+	}
+}
+
 // TestTieredPromoteAndWriteback: a deeper hit promotes into the
 // faster tier synchronously; a Put reaches deeper tiers via the
 // write-back worker; Close flushes.

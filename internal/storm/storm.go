@@ -186,6 +186,9 @@ func (r *Report) violate(invariant, format string, args ...any) {
 	})
 }
 
+// shardName is shard idx's shard ID and its name in fault decisions.
+func shardName(idx int) string { return fmt.Sprintf("storm-%d", idx) }
+
 // node is one in-process shard.
 type node struct {
 	url      string
@@ -291,9 +294,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// then the stack per shard: local store → membership-driven peer
 	// tier → engine → sweeper → gossip node → server. Every ring
 	// consumer re-derives placement from the node's live View; the
-	// seed list is only the bootstrap fallback.
+	// seed list is only the bootstrap fallback. The shards listen on
+	// ephemeral ports, so every injector hashes them by name (storm-i,
+	// the shard ID), and one seed draws one fault schedule on every run
+	// up to timing.
 	nodes := make([]*node, cfg.Shards)
 	urls := make([]string, cfg.Shards)
+	names := &netchaos.Names{}
 	for i := range nodes {
 		sw := &hswap{}
 		sw.store(http.NotFoundHandler())
@@ -304,9 +311,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			url:   "http://" + hs.Listener.Addr().String(),
 		}
 		urls[i] = nodes[i].url
+		names.Set(urls[i], shardName(i))
 	}
 	boot := func(idx int, seeds []string, warmup time.Duration, n *node) error {
-		n.injector = netchaos.New(cfg.Plan, n.url)
+		n.injector = netchaos.New(cfg.Plan, shardName(idx))
+		n.injector.SetNames(names)
 		peer := store.NewPeerWith("peers", engine.KeySchema, seeds,
 			&http.Client{Transport: n.injector.Transport(nil)},
 			store.PeerOpts{
@@ -344,7 +353,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			Engine:         eng,
 			Workers:        4,
 			QueueDepth:     64,
-			ShardID:        fmt.Sprintf("storm-%d", idx),
+			ShardID:        shardName(idx),
 			ArtifactStore:  n.local,
 			Sweeper:        n.sweeper,
 			Cluster:        cl,
@@ -393,6 +402,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Routing, hedging, and shed-walking re-derive from the view on
 	// every change (dead shards dropped, suspects deprioritized).
 	frontInj := netchaos.New(cfg.Plan, "front")
+	frontInj.SetNames(names)
 	injectors = append(injectors, frontInj)
 	obs, err := cluster.New(cluster.Config{
 		Observer:         true,
@@ -591,6 +601,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					hs:    hs,
 					url:   "http://" + hs.Listener.Addr().String(),
 				}
+				names.Set(nn.url, shardName(len(nodes)))
 				// The newcomer joins through a surviving seed, starts
 				// in the joining state, and self-promotes to alive
 				// after its warmup — the window in which the existing
