@@ -1,9 +1,11 @@
 package opt
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
+	"repro/internal/seeded"
 )
 
 // valueNumbering is the per-block state of the predicate-aware local
@@ -11,14 +13,17 @@ import (
 // lives in slices (value numbers start at 1, so 0 is the "unknown"
 // sentinel in vn, and ir.NoReg marks an empty rep slot); the whole
 // struct is pooled across calls so a steady-state ValueNumber run
-// performs no allocations.
+// performs no allocations. reset clears only what the previous block
+// wrote, so a call costs time in the block's size, not the
+// function's.
 type valueNumbering struct {
 	f *ir.Function
 	b *ir.Block
 
 	nextVN  int
-	vn      []int32 // register -> current value number (0 = none yet)
-	lastUse []int32 // register -> index of latest read (0 default, as the map had)
+	vn      []int32  // register -> current value number (0 = none yet)
+	lastUse []int32  // register -> index of latest read (0 default, as the map had)
+	touched []ir.Reg // registers whose vn or lastUse entry this block set
 
 	// Value-number-indexed tables, grown together by newVN.
 	rep        []ir.Reg // vn -> a register currently holding it (NoReg = none)
@@ -29,8 +34,8 @@ type valueNumbering struct {
 
 	// exprs maps expression keys to the value number they produce and
 	// the site that produced them (for instruction merging).
-	exprs     map[exprKey]exprVal
-	seenExits map[exitKey]bool
+	exprs     exprTable
+	seenExits []exitKey // the block's exits so far; blocks have few
 	useBuf    []ir.Reg
 	kill      []int // instruction indices to delete afterwards
 }
@@ -52,22 +57,90 @@ type exitKey struct {
 	sense  bool
 }
 
+func (k exprKey) hash() uint64 {
+	h := seeded.Mix(uint64(k.op) ^ uint64(uint32(k.a))<<8 ^ uint64(k.b)<<40)
+	h = seeded.Mix(h ^ uint64(k.imm))
+	return seeded.Mix(h ^ uint64(k.pred)<<1 ^ uint64(b2i(k.predSense)))
+}
+
 type exprVal struct {
 	vn  int
 	idx int    // instruction index that computed it
 	dst ir.Reg // destination it was computed into
 }
 
-var vnPool = sync.Pool{New: func() any {
-	return &valueNumbering{
-		exprs:     map[exprKey]exprVal{},
-		seenExits: map[exitKey]bool{},
+// exprTable is exprs: an open-addressed hash table whose entries live
+// for one block. reset sizes it to the block and empties only the
+// slots the previous block filled, so its cost follows the block. A
+// pooled Go map cannot do that: clear walks the map's whole capacity,
+// which is that of the largest block it ever held.
+type exprTable struct {
+	slots []exprSlot // power-of-two length, at most half full
+	used  []int      // indices of the filled slots
+}
+
+type exprSlot struct {
+	key  exprKey
+	val  exprVal
+	full bool
+}
+
+// reset empties the table and sizes it for up to n entries.
+func (t *exprTable) reset(n int) {
+	for _, i := range t.used {
+		t.slots[i] = exprSlot{}
 	}
-}}
+	t.used = t.used[:0]
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	// Slots past the old length are empty too, so a resize within
+	// capacity needs no clearing.
+	if cap(t.slots) < size {
+		t.slots = make([]exprSlot, size)
+	}
+	t.slots = t.slots[:size]
+}
+
+// find returns the index of k's slot, or of the empty slot where k
+// belongs.
+func (t *exprTable) find(k exprKey) int {
+	mask := len(t.slots) - 1
+	for i := int(k.hash()) & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; !s.full || s.key == k {
+			return i
+		}
+	}
+}
+
+func (t *exprTable) get(k exprKey) (exprVal, bool) {
+	s := &t.slots[t.find(k)]
+	return s.val, s.full
+}
+
+func (t *exprTable) put(k exprKey, v exprVal) {
+	i := t.find(k)
+	if !t.slots[i].full {
+		if 2*len(t.used) >= len(t.slots) {
+			panic("opt: more expressions than the block has instructions")
+		}
+		t.used = append(t.used, i)
+	}
+	t.slots[i] = exprSlot{key: k, val: v, full: true}
+}
+
+var vnPool = sync.Pool{New: func() any { return &valueNumbering{} }}
 
 func (v *valueNumbering) reset(f *ir.Function, b *ir.Block) {
 	v.f, v.b = f, b
 	v.nextVN = 0
+	for _, r := range v.touched {
+		v.vn[r], v.lastUse[r] = 0, 0
+	}
+	v.touched = v.touched[:0]
+	// Every entry beyond the touched ones is already zero, so the
+	// slices only need resizing.
 	n := f.NumRegs()
 	if cap(v.vn) < n {
 		// Formation adds registers with every merge; grow with room
@@ -76,9 +149,7 @@ func (v *valueNumbering) reset(f *ir.Function, b *ir.Block) {
 		v.lastUse = make([]int32, n, n+n/2)
 	} else {
 		v.vn = v.vn[:n]
-		clear(v.vn)
 		v.lastUse = v.lastUse[:n]
-		clear(v.lastUse)
 	}
 	v.rep = v.rep[:0]
 	v.constKnown = v.constKnown[:0]
@@ -86,9 +157,21 @@ func (v *valueNumbering) reset(f *ir.Function, b *ir.Block) {
 	v.bools = v.bools[:0]
 	v.constOrder = v.constOrder[:0]
 	v.kill = v.kill[:0]
-	clear(v.exprs)
+	// Each instruction adds at most one expression. The old exits are
+	// zeroed, not just dropped, so their targets do not keep the
+	// previous block's function alive from the pool.
+	v.exprs.reset(len(b.Instrs))
 	clear(v.seenExits)
+	v.seenExits = v.seenExits[:0]
 	v.growVN(0)
+}
+
+// touch records that this block is about to set r's vn or lastUse
+// entry, so the next reset clears it.
+func (v *valueNumbering) touch(r ir.Reg) {
+	if v.vn[r] == 0 && v.lastUse[r] == 0 {
+		v.touched = append(v.touched, r)
+	}
 }
 
 // growVN extends the vn-indexed tables to cover value number n.
@@ -106,6 +189,7 @@ func (v *valueNumbering) vnOf(r ir.Reg) int {
 		return int(n)
 	}
 	n := v.newVN()
+	v.touch(r)
 	v.vn[r] = int32(n)
 	v.rep[n] = r
 	return n
@@ -122,6 +206,7 @@ func (v *valueNumbering) define(r ir.Reg, n int) {
 	if old := v.vn[r]; old != 0 && v.rep[old] == r {
 		v.rep[old] = ir.NoReg
 	}
+	v.touch(r)
 	v.vn[r] = int32(n)
 	if v.rep[n] == ir.NoReg {
 		v.rep[n] = r
@@ -221,16 +306,17 @@ func (v *valueNumbering) run() bool {
 				k.pred = v.vnOf(in.Pred)
 				k.sense = in.PredSense
 			}
-			if v.seenExits[k] {
+			if slices.Contains(v.seenExits, k) {
 				v.kill = append(v.kill, idx)
 				continue
 			}
-			v.seenExits[k] = true
+			v.seenExits = append(v.seenExits, k)
 		}
 
 		// Record uses.
 		v.useBuf = in.Uses(v.useBuf)
 		for _, r := range v.useBuf {
+			v.touch(r)
 			v.lastUse[r] = int32(idx)
 		}
 
@@ -262,7 +348,7 @@ func (v *valueNumbering) run() bool {
 		if in.Predicated() {
 			twinKey := key
 			twinKey.predSense = !key.predSense
-			if tw, ok := v.exprs[twinKey]; ok && tw.dst == in.Dst &&
+			if tw, ok := v.exprs.get(twinKey); ok && tw.dst == in.Dst &&
 				b.Instrs[tw.idx].Dst == in.Dst &&
 				int(v.vn[in.Dst]) == tw.vn &&
 				int(v.lastUse[in.Dst]) < tw.idx+1 {
@@ -275,7 +361,7 @@ func (v *valueNumbering) run() bool {
 			}
 		}
 
-		if ev, ok := v.exprs[key]; ok {
+		if ev, ok := v.exprs.get(key); ok {
 			// Available expression. If a register still holds it,
 			// turn this instruction into a copy (or delete it
 			// entirely when the destination already holds it under
@@ -326,7 +412,7 @@ func (v *valueNumbering) run() bool {
 			}
 		}
 		v.define(in.Dst, n)
-		v.exprs[key] = exprVal{vn: n, idx: idx, dst: in.Dst}
+		v.exprs.put(key, exprVal{vn: n, idx: idx, dst: in.Dst})
 	}
 
 	if len(v.kill) > 0 {

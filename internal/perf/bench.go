@@ -58,11 +58,14 @@ func Specs() []Spec {
 		{Name: "Formation/Full", AllocBudget: 13250, Fn: benchFormationFull},
 		{Name: "Formation/Tail", AllocBudget: 150000, Fn: benchTail},
 		{Name: "Formation/Instantiate", AllocBudget: -1, Fn: benchInstantiate},
-		{Name: "CycleSim/Clone", AllocBudget: -1, Fn: benchClone},
-		{Name: "CycleSim/ColdRun", AllocBudget: -1, Fn: benchColdRun},
+		// A cold run clones the program and builds a machine whose
+		// scratch grows to the run's deepest call chain: measured at 19
+		// and 58 allocs/op.
+		{Name: "CycleSim/Clone", AllocBudget: 20, Fn: benchClone},
+		{Name: "CycleSim/ColdRun", AllocBudget: 60, Fn: benchColdRun},
 		// The tentpole guarantee: once the machine is warm, re-running
 		// a program does not allocate (issue ring, pooled frames,
-		// converged predictor table, reused Uses buffers).
+		// converged predictor table).
 		{Name: "CycleSim/WarmRun", AllocBudget: 0, Fn: benchWarmRun},
 	}
 }

@@ -86,7 +86,7 @@ const (
 )
 
 // maxCycles returns the effective cycle budget (0 = unlimited).
-func (c Config) maxCycles() int64 {
+func (c *Config) maxCycles() int64 {
 	if c.MaxCycles == 0 {
 		return DefaultMaxCycles
 	}
@@ -97,7 +97,7 @@ func (c Config) maxCycles() int64 {
 }
 
 // watchdogGap returns the effective commit-gap bound (0 = disabled).
-func (c Config) watchdogGap() int64 {
+func (c *Config) watchdogGap() int64 {
 	if c.WatchdogGap == 0 {
 		return DefaultWatchdogGap
 	}
@@ -126,7 +126,7 @@ func DefaultConfig() Config {
 }
 
 // latency returns the execution latency of an opcode class.
-func (c Config) latency(class latClass) int64 {
+func (c *Config) latency(class latClass) int64 {
 	switch class {
 	case latMul:
 		return 3

@@ -86,6 +86,16 @@ func (e *StuckError) Unwrap() error { return ErrWatchdog }
 // machine was when progress stopped, which blocks were in flight, and
 // which instructions had not completed — with the operand each one
 // was waiting on — instead of a silent hang.
+//
+// A run records no per-instruction trail, so the Stalled list comes
+// from a second run: when the watchdog trips in a Run that started on
+// a fresh machine (Stats.Blocks == 0), Run simulates the same call
+// again on a new machine with the same program, Config, Inject and
+// context, this time recording, and takes the Stalled list from that
+// run's trip at the same BlockSeq. The re-run starts from the
+// program's initial memory image and leaves the tripped machine's
+// Stats untouched. A machine that has run before cannot be replayed
+// that way, so on a reused machine Stalled stays empty.
 type StuckReport struct {
 	// Reason says which bound tripped ("no commit for N cycles" or
 	// "cycle budget exceeded").
@@ -104,7 +114,8 @@ type StuckReport struct {
 	// excluded).
 	InFlight []InFlightBlock `json:"in_flight,omitempty"`
 	// Stalled lists the stuck block's instructions that had not
-	// completed by PrevCommit, newest-completion first (capped).
+	// completed by PrevCommit, newest-completion first (capped; empty
+	// on a reused machine).
 	Stalled []StalledInstr `json:"stalled,omitempty"`
 }
 

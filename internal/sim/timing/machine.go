@@ -48,10 +48,10 @@ var ErrFuel = errors.New("timing: instruction budget exhausted")
 // Machine is the cycle-level simulator.
 //
 // All per-block and per-call scratch state (issue-slot occupancy,
-// activation frames, argument marshalling, operand-use buffers) is
-// owned by the Machine and reused across blocks and calls, so a run
-// is allocation-free in steady state: buffers grow while the run
-// discovers its deepest call chain and widest block, then stabilize.
+// activation frames, argument marshalling) is owned by the Machine
+// and reused across blocks and calls, so a run is allocation-free in
+// steady state: buffers grow while the run discovers its deepest call
+// chain and widest block, then stabilize.
 type Machine struct {
 	Prog *ir.Program
 	Cfg  Config
@@ -75,9 +75,11 @@ type Machine struct {
 	nextFetchMin   int64
 	inflight       []inflightBlock // recent blocks and their commit cycles
 
-	// recs records the current block's executed instructions for the
-	// watchdog's StuckReport (reused across blocks).
-	recs []instrRec
+	// record turns on the watchdog trail: recs then holds the current
+	// block's executed instructions for StuckReport. Only the re-run
+	// Run makes after a watchdog trip records; a normal run does not.
+	record bool
+	recs   []instrRec
 
 	// Issue-slot scratch: issueCnt[i] is the number of instructions
 	// issued at cycle readyBase+i in the current block, valid only when
@@ -95,9 +97,7 @@ type Machine struct {
 	argv   [][]int64
 	argt   [][]int64
 
-	// useBuf is the shared Instr.Uses scratch; runTimes the Run()
-	// argument-time scratch.
-	useBuf   []ir.Reg
+	// runTimes is the Run() argument-time scratch.
 	runTimes []int64
 
 	// fnMeta caches per-function predictor inputs (name hash,
@@ -183,7 +183,8 @@ func New(prog *ir.Program, cfg Config) *Machine {
 // Stats.Cycles holds the total cycle count afterwards. On error the
 // counters still reflect the partial run (cycles up to the last
 // commit, faults injected so far), so a watchdog abort remains
-// observable in the stats.
+// observable in the stats. A watchdog trip on a fresh machine fills
+// the report's Stalled list from a recording re-run (see StuckReport).
 func (m *Machine) Run(fn string, args ...int64) (int64, error) {
 	f := m.Prog.Func(fn)
 	if f == nil {
@@ -197,14 +198,35 @@ func (m *Machine) Run(fn string, args ...int64) (int64, error) {
 	}
 	times := m.runTimes[:len(args)]
 	clear(times)
+	fresh := m.Stats.Blocks == 0
 	v, _, err := m.call(f, args, times)
 	m.Stats.Cycles = m.lastCommitDone
 	m.Stats.ExitLookups = m.pred.Lookups
 	m.Stats.Mispredicts = m.pred.Mispredicts
 	if err != nil {
+		var se *StuckError
+		if fresh && !m.record && errors.As(err, &se) {
+			se.Report.Stalled = m.stalledOnRerun(fn, args, se.Report.BlockSeq)
+		}
 		return 0, err
 	}
 	return v, nil
+}
+
+// stalledOnRerun runs fn again on a fresh machine with the same
+// program, configuration, injector and context, this time recording
+// the watchdog trail, and returns the Stalled list of its trip.
+// Simulation and injectors are deterministic, so the re-run trips at
+// the same block execution; if it does not, there is nothing to report.
+func (m *Machine) stalledOnRerun(fn string, args []int64, seq int64) []StalledInstr {
+	r := New(m.Prog, m.Cfg)
+	r.Inject, r.ctx, r.record = m.Inject, m.ctx, true
+	_, err := r.Run(fn, args...)
+	var se *StuckError
+	if !errors.As(err, &se) || se.Report.BlockSeq != seq {
+		return nil
+	}
+	return se.Report.Stalled
 }
 
 // RunContext is Run with cooperative cancellation: the machine polls
@@ -309,7 +331,7 @@ type blockResult struct {
 }
 
 func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame) (blockResult, error) {
-	cfg := m.Cfg
+	cfg := &m.Cfg
 	var res blockResult
 
 	// Cooperative cancellation: one cheap poll per block execution.
@@ -320,7 +342,13 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 		default:
 		}
 	}
-	site := Site{Fn: f.Name, Block: b.Name, Seq: m.Stats.Blocks}
+	// The injector's name for this block execution, built only when
+	// an injector is attached.
+	seq := m.Stats.Blocks
+	var site Site
+	if m.Inject != nil {
+		site = Site{Fn: f.Name, Block: b.Name, Seq: seq}
+	}
 
 	// Fetch/map: pipelined behind the previous block, bounded by the
 	// in-flight window, and delayed by a pending misprediction flush.
@@ -352,7 +380,7 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 		maxSteps = 500_000_000
 	}
 	watchGap, cycleBudget := cfg.watchdogGap(), cfg.maxCycles()
-	watching := watchGap > 0 || cycleBudget > 0
+	record := m.record
 
 	// Fresh issue-slot generation: every slot of the dense ring is
 	// logically zero again without touching the backing arrays.
@@ -379,15 +407,7 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 		// Dataflow readiness: operands (including the predicate).
 		// waits remembers the operand that resolved last — the one the
 		// instruction is "waiting on" in a StuckReport.
-		ready := readyBase
-		waits := ir.NoReg
-		m.useBuf = in.Uses(m.useBuf[:0])
-		for _, r := range m.useBuf {
-			if t := fr.time[r]; t > ready {
-				ready = t
-				waits = r
-			}
-		}
+		ready, waits := operandsReady(in, fr.time, readyBase)
 		// Issue-width contention within the block. ready >= readyBase,
 		// so the slot offset is non-negative; the ring grows (amortized)
 		// to the block's longest dependence chain and is then reused.
@@ -513,7 +533,7 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 		if complete > blockDone {
 			blockDone = complete
 		}
-		if watching {
+		if record {
 			m.recs = append(m.recs, instrRec{
 				index: idx, op: in.Op, dst: in.Def(),
 				waits: waits, ready: ready, complete: complete,
@@ -544,11 +564,11 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 	// report instead of letting a livelocked model spin.
 	if watchGap > 0 && commitDone-prevCommit > watchGap {
 		return res, m.stuck(fmt.Sprintf("no commit for %d cycles (bound %d)", commitDone-prevCommit, watchGap),
-			f, b, site.Seq, prevCommit, commitDone)
+			f, b, seq, prevCommit, commitDone)
 	}
 	if cycleBudget > 0 && commitDone > cycleBudget {
 		return res, m.stuck(fmt.Sprintf("cycle budget %d exceeded", cycleBudget),
-			f, b, site.Seq, prevCommit, commitDone)
+			f, b, seq, prevCommit, commitDone)
 	}
 	m.lastCommitDone = commitDone
 	m.inflight = append(m.inflight, inflightBlock{commit: commitDone, fn: f.Name, block: b.Name})
@@ -585,6 +605,34 @@ func (m *Machine) execBlock(f *ir.Function, fm *funcMeta, b *ir.Block, fr *frame
 		}
 	}
 	return res, nil
+}
+
+// operandsReady returns when in's operands have all arrived — the
+// latest of base and their ready times — and the operand that arrived
+// last (NoReg if none arrived after base). It reads the operands that
+// Instr.Uses lists, in the same order (A, B, call arguments, an
+// OpNullW's destination, the predicate), so ties go to the same
+// register, without copying them into a buffer.
+func operandsReady(in *ir.Instr, time []int64, base int64) (int64, ir.Reg) {
+	ready, waits := base, ir.NoReg
+	if r := in.A; r.Valid() && time[r] > ready {
+		ready, waits = time[r], r
+	}
+	if r := in.B; r.Valid() && time[r] > ready {
+		ready, waits = time[r], r
+	}
+	for _, r := range in.Args {
+		if time[r] > ready {
+			ready, waits = time[r], r
+		}
+	}
+	if r := in.Dst; in.Op == ir.OpNullW && r.Valid() && time[r] > ready {
+		ready, waits = time[r], r
+	}
+	if r := in.Pred; r.Valid() && time[r] > ready {
+		ready, waits = time[r], r
+	}
+	return ready, waits
 }
 
 func (m *Machine) operand(fr *frame, r ir.Reg) int64 {
