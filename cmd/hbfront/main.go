@@ -5,18 +5,14 @@
 // their second-choice replica.
 //
 //	hbfront -shards URL,URL,... [-addr 127.0.0.1:8090] [-addr-file FILE]
-//	        [-cluster-seeds URL,URL,...]
 //	        [-hedge-after 50ms] [-hedge-max 2s]
 //	        [-timeout 10s] [-max-timeout 60s] [-drain 10s]
 //	        [-netchaos-seed 0] [-version]
 //
-// With -cluster-seeds the front runs an observer-mode failure
-// detector (internal/cluster): it probes the ring like a member but
-// never announces itself, and re-derives its routing set from each
-// membership view — only serving members are ranked, so confirmed-dead
-// shards drop out, and suspected shards are deprioritized behind
-// healthy ones. The seeds double as the initial shard set when
-// -shards is omitted.
+// The shard list is fixed for the life of the process. A request whose
+// shard refuses the connection fails over down the rendezvous order,
+// and a shard restarted at its old address is routed to again on its
+// next request.
 //
 // Endpoints:
 //
@@ -44,7 +40,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/chaos/netchaos"
-	"repro/internal/cluster"
 	"repro/internal/front"
 	"repro/internal/perf"
 )
@@ -52,8 +47,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	shards := flag.String("shards", "", "comma-separated hbserved shard base URLs (required unless -cluster-seeds is set)")
-	clusterSeeds := flag.String("cluster-seeds", "", "comma-separated ring member URLs to observe for membership-driven routing")
+	shards := flag.String("shards", "", "comma-separated hbserved shard base URLs (required)")
 	hedgeAfter := flag.Duration("hedge-after", 50*time.Millisecond, "hedge budget floor (and cold-start value)")
 	hedgeMax := flag.Duration("hedge-max", 2*time.Second, "hedge budget cap")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
@@ -67,21 +61,11 @@ func main() {
 		return
 	}
 
-	split := func(s string) []string {
-		var out []string
-		for _, u := range strings.Split(s, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				out = append(out, u)
-			}
+	var urls []string
+	for _, u := range strings.Split(*shards, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
 		}
-		return out
-	}
-	urls := split(*shards)
-	seeds := split(*clusterSeeds)
-	if len(urls) == 0 {
-		// The seeds are the initial routing set until the first
-		// converged view replaces it.
-		urls = seeds
 	}
 	var client *http.Client
 	if *netchaosSeed != 0 {
@@ -99,23 +83,6 @@ func main() {
 		Client:         client,
 	})
 	fail(err)
-
-	var obs *cluster.Node
-	var unwatch func()
-	if len(seeds) > 0 {
-		obs, err = cluster.New(cluster.Config{
-			Seeds:    seeds,
-			Observer: true,
-			Client:   client,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "hbfront: "+format+"\n", args...)
-			},
-		})
-		fail(err)
-		unwatch = f.WatchMembership(obs)
-		obs.Start()
-		fmt.Fprintf(os.Stderr, "hbfront: observing membership via %d seeds\n", len(seeds))
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	fail(err)
@@ -152,10 +119,6 @@ func main() {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = hs.Shutdown(sctx)
 		cancel()
-		if obs != nil {
-			obs.Stop()
-			unwatch()
-		}
 		st := f.StatusSnapshot()
 		fmt.Fprintf(os.Stderr, "hbfront: drained after %.1fs (%d requests, %d coalesced, %d hedges, hit rate %.0f%%)\n",
 			st.UptimeSeconds, st.Requests, st.Coalesced, st.Hedges, 100*st.HitRate)

@@ -7,8 +7,6 @@
 //	         [-drain 10s] [-cache-dir DIR] [-scrub]
 //	         [-shard-id ID] [-peers URL,URL,...]
 //	         [-replicas 1] [-antientropy-interval 0]
-//	         [-cluster] [-cluster-join URL,URL,...] [-advertise URL]
-//	         [-cluster-interval 1s] [-join-warmup 0]
 //	         [-trace FILE] [-trace-stream FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-chaos-seed 0] [-netchaos-seed 0]
@@ -26,19 +24,13 @@
 // cache miss the shard fetches the artifact from the rendezvous-ranked
 // peers before compiling (and verifies the content hash before
 // trusting it). -shard-id tags responses (X-Hbserved-Shard) and
-// /statusz so hbfront's routing decisions are auditable. See
+// /statusz so hbfront's routing decisions are auditable. The peer
+// list is fixed for the life of the process: -replicas R fans writes
+// out to each key's top R peers (and repairs missed replicas on deep
+// reads when R > 1), and -antientropy-interval sweeps local keys onto
+// any of those peers that lacks them. A shard that died is replaced
+// by restarting it at its old address; the sweepers refill it. See
 // DESIGN.md's "Cluster architecture" section.
-//
-// Dynamic membership: -cluster joins the SWIM-style gossip ring
-// (internal/cluster) and re-derives the peer topology from the live
-// membership view instead of the static -peers list. The first node
-// runs plain -cluster (a seed); later nodes add -cluster-join with
-// any live member's URL, and -join-warmup makes them announce as
-// "joining" — warmed by the existing Sweepers before owning replicas.
-// -advertise overrides the self URL gossiped to peers (defaults to
-// http://<bound address>). The gossip wire mounts under /cluster/ and
-// the detector's view appears in /statusz. See DESIGN.md's
-// "Membership and failure detection" section.
 //
 // Every response carries a structured error class (ok, invalid-input,
 // degraded, quarantined, timeout, shed, internal); see DESIGN.md's
@@ -69,7 +61,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/chaos"
 	"repro/internal/chaos/netchaos"
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/perf"
 	"repro/internal/server"
@@ -90,12 +81,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated sibling shard base URLs to fetch artifacts from")
 	replicas := flag.Int("replicas", 1, "artifact replication factor across peers (writes fan out to the top R, deep read hits repair earlier replicas)")
 	scrub := flag.Bool("scrub", false, "verify every on-disk artifact at startup, quarantining corrupt entries (needs -cache-dir)")
-	antiEntropy := flag.Duration("antientropy-interval", 0, "background replication-repair sweep interval (0: off; needs -peers or -cluster)")
-	clusterOn := flag.Bool("cluster", false, "join the gossip membership ring and derive peer topology from the live view")
-	clusterJoin := flag.String("cluster-join", "", "comma-separated member URLs to join the ring through (implies -cluster)")
-	advertise := flag.String("advertise", "", "self URL gossiped to the ring (default http://<bound address>)")
-	clusterInterval := flag.Duration("cluster-interval", time.Second, "gossip probe interval")
-	joinWarmup := flag.Duration("join-warmup", 0, "announce as joining and self-promote to alive after this warmup (0: join alive immediately)")
+	antiEntropy := flag.Duration("antientropy-interval", 0, "background replication-repair sweep interval (0: off; needs -peers)")
 	traceOut := flag.String("trace", "", "write a JSON execution trace to this file on exit")
 	traceStream := flag.String("trace-stream", "", "stream per-job trace events to this file as NDJSON")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -152,8 +138,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hbserved: netchaos armed: %s\n", p.Name())
 	}
 
-	// Listen before the cluster node exists: gossip advertises the
-	// bound address, so the socket must be bound first.
+	// Listen before building the rest: a client that reads -addr-file
+	// can connect at once, and its connection waits in the backlog
+	// until the server is serving.
 	ln, err := net.Listen("tcp", *addr)
 	fail(err)
 	bound := ln.Addr().String()
@@ -161,36 +148,12 @@ func main() {
 		fail(os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644))
 	}
 
-	inCluster := *clusterOn || *clusterJoin != ""
-	var node *cluster.Node
-	if inCluster {
-		self := *advertise
-		if self == "" {
-			self = "http://" + bound
-		}
-		node, err = cluster.New(cluster.Config{
-			Self:          self,
-			Seeds:         splitURLs(*clusterJoin),
-			ProbeInterval: *clusterInterval,
-			JoinWarmup:    *joinWarmup,
-			Client:        peerClient,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "hbserved: "+format+"\n", args...)
-			},
-		})
-		fail(err)
-	}
-
 	var peerTier *store.Peer
 	var backing store.Store = local
-	if urls := splitURLs(*peers); len(urls) > 0 || inCluster {
-		// In cluster mode the static list (possibly empty) is only the
-		// pre-convergence fallback; the live membership view replaces
-		// it as soon as gossip produces one.
+	if urls := splitURLs(*peers); len(urls) > 0 {
 		peerTier = store.NewPeerWith("peers", engine.KeySchema, urls, peerClient, store.PeerOpts{
-			Replicas:   *replicas,
-			OpTimeout:  *timeout / 2,
-			ReadRepair: *replicas > 1,
+			Replicas:  *replicas,
+			OpTimeout: *timeout / 2,
 		})
 		backing = store.NewTiered(localTier, peerTier)
 	}
@@ -206,26 +169,6 @@ func main() {
 		sweeper = store.NewSweeper(lister, local, peerTier)
 		sweeper.Start(*antiEntropy)
 		fmt.Fprintf(os.Stderr, "hbserved: anti-entropy sweeping every %s at replication factor %d\n", *antiEntropy, *replicas)
-	}
-
-	// Every ring consumer re-derives its target set from each new
-	// membership view: the peer tier walks serving members and fans
-	// writes to owners; the sweeper pushes at placement targets
-	// (joining members included — that is how they get warmed) and
-	// skips confirmed-dead ranks.
-	var unwatch func()
-	if node != nil {
-		self := node.Self()
-		sw := sweeper
-		pt := peerTier
-		unwatch = node.OnChange(func(v cluster.View) {
-			pt.SetMembership(cluster.Exclude(v.Serving(), self), cluster.Exclude(v.Owners(), self))
-			if sw != nil {
-				sw.SetView(func() store.SweepView {
-					return store.SweepView{Targets: cluster.Exclude(v.Placement(), self), Dead: v.Dead()}
-				})
-			}
-		})
 	}
 	cache := engine.NewStoreCache(backing)
 	tracer := engine.NewTracer()
@@ -258,7 +201,6 @@ func main() {
 		ShardID:         *shardID,
 		ArtifactStore:   local,
 		Sweeper:         sweeper,
-		Cluster:         node,
 		InjectedFaults:  faultStats(injector),
 	})
 	fail(err)
@@ -273,13 +215,6 @@ func main() {
 	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	if node != nil {
-		// Start gossip only once the wire protocol is being served, so
-		// the first members we probe can probe us back.
-		node.Start()
-		fmt.Fprintf(os.Stderr, "hbserved: membership: self=%s join=%q probe every %s\n",
-			node.Self(), *clusterJoin, *clusterInterval)
-	}
 
 	// flush writes the trace and finishes the profiles; it runs
 	// exactly once, on whichever exit path fires first.
@@ -325,12 +260,6 @@ func main() {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = hs.Shutdown(sctx)
 		cancel()
-		if node != nil {
-			// Leave the ring before the sweeper stops: no further view
-			// changes arrive once the watcher is gone.
-			node.Stop()
-			unwatch()
-		}
 		if sweeper != nil {
 			sweeper.Stop()
 		}

@@ -7,11 +7,11 @@
 // one terminal classed response, no hash-invalid artifact ever
 // served, full reconvergence once faults clear. With -kill it instead
 // kills a shard outright after replication and requires zero lost
-// responses from the survivors. With -churn it kills a shard AND
-// joins a fresh one mid-burst under the live membership detector,
-// requiring zero lost responses, detector convergence (victim
-// confirmed dead, newcomer alive, everywhere), and the ring back at
-// full replication.
+// responses from the survivors. With -churn it kills a shard
+// mid-burst and restarts it with an empty store at the same address,
+// requiring zero lost responses and every key back at full
+// replication after the heal sweep. Every shard and the front route
+// over static lists of the farm's addresses.
 //
 // Exit status 0 means every schedule held every invariant; 1 means a
 // violation (the structured report on stdout says which, and the
@@ -24,7 +24,7 @@
 //
 //	hbstorm -seeds 1,2,3,4            # four schedules, 3-shard farm
 //	hbstorm -kill                     # shard-kill scenario
-//	hbstorm -churn -seeds 1,2,3,4     # kill + join mid-burst, per seed
+//	hbstorm -churn -seeds 1,2,3,4     # kill + restart mid-burst, per seed
 //	hbstorm -seeds 1 -profile bursty  # bursty traffic under faults
 //	hbstorm -seeds 7 -shards 5 -replicas 3 -requests 200 -v
 package main
@@ -53,7 +53,7 @@ func main() {
 		requests = flag.Int("requests", 48, "requests during each fault window")
 		workers  = flag.Int("workers", 8, "concurrent storm clients")
 		kill     = flag.Bool("kill", false, "kill shard 0 after replication instead of arming a fault schedule (zero-loss required)")
-		churn    = flag.Bool("churn", false, "kill a shard and join a fresh one mid-burst under live membership (zero-loss and reconvergence required)")
+		churn    = flag.Bool("churn", false, "kill a shard mid-burst and restart it empty at its address (zero-loss and full re-replication required)")
 		profile  = flag.String("profile", "", "shape storm traffic with this load profile (steady|bursty|diurnal|adversarial|hotkey; empty: uniform blast)")
 		span     = flag.Duration("span", 2*time.Second, "wall clock the profile schedule is compressed into (with -profile)")
 		timeout  = flag.Duration("timeout", 8*time.Second, "per-request deadline")

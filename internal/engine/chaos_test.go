@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -14,9 +15,9 @@ import (
 )
 
 // TestWatchdogQuarantine exercises the quarantine path: a job that
-// trips the simulator watchdog on its attempt and again on its retry
-// is quarantined, and later submissions of the same job fail fast
-// with ErrQuarantined without running the body.
+// trips the simulator watchdog is not retried but quarantined at once,
+// and later submissions of the same job fail fast with ErrQuarantined
+// without running the body.
 func TestWatchdogQuarantine(t *testing.T) {
 	var calls atomic.Int64
 	j := engine.Job{
@@ -32,17 +33,17 @@ func TestWatchdogQuarantine(t *testing.T) {
 	if !errors.Is(r.Err, timing.ErrWatchdog) {
 		t.Fatalf("err = %v, want watchdog", r.Err)
 	}
-	if r.Retries != 1 {
-		t.Errorf("Retries = %d, want 1 (watchdog trips are retried once)", r.Retries)
+	if r.Retries != 0 {
+		t.Errorf("Retries = %d, want 0 (a watchdog trip is not retried)", r.Retries)
 	}
-	if r.WatchdogTrips != 2 {
-		t.Errorf("WatchdogTrips = %d, want 2 (attempt + retry)", r.WatchdogTrips)
+	if r.WatchdogTrips != 1 {
+		t.Errorf("WatchdogTrips = %d, want 1", r.WatchdogTrips)
 	}
 	if !r.Quarantined {
-		t.Error("job not quarantined after two watchdog trips")
+		t.Error("job not quarantined at its watchdog trip")
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("body ran %d times, want 2", got)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("body ran %d times, want 1", got)
 	}
 
 	// Resubmission: refused outright, body never runs.
@@ -53,7 +54,7 @@ func TestWatchdogQuarantine(t *testing.T) {
 	if !r2.Quarantined {
 		t.Error("resubmission result not marked Quarantined")
 	}
-	if got := calls.Load(); got != 2 {
+	if got := calls.Load(); got != 1 {
 		t.Errorf("quarantined body ran anyway (%d calls)", got)
 	}
 
@@ -71,29 +72,29 @@ func TestWatchdogQuarantine(t *testing.T) {
 	}
 }
 
-// TestSingleWatchdogTripNotQuarantined: one trip followed by a clean
-// retry stays below the quarantine threshold.
-func TestSingleWatchdogTripNotQuarantined(t *testing.T) {
-	var calls atomic.Int64
-	j := engine.Job{
-		Workload: "flaky", Config: "base",
-		Fn: func() (engine.Metrics, error) {
-			if calls.Add(1) == 1 {
-				return engine.Metrics{}, fmt.Errorf("sim: %w", timing.ErrWatchdog)
-			}
-			return engine.Metrics{Result: 1}, nil
-		},
-	}
+// TestWatchdogTripSimulatesOnce runs a real job into the cycle
+// watchdog: sieve under (IUPO) with MaxCycles 5000. The trip is
+// deterministic, so the one submission returns the watchdog error
+// without a retry and quarantines the job, and a second submission
+// is refused.
+func TestWatchdogTripSimulatesOnce(t *testing.T) {
+	j := testJob(t, "sieve", compiler.OrderIUPO1, engine.SimTiming)
+	j.SimConfig = timing.DefaultConfig()
+	j.SimConfig.MaxCycles = 5000
 	e := engine.New(engine.Config{Workers: 1, RetryBackoff: time.Millisecond})
-	r := e.Run([]engine.Job{j})[0]
-	if r.Err != nil {
-		t.Fatalf("err = %v, want recovery on retry", r.Err)
+
+	r := e.Submit(context.Background(), j)
+	var stuck *timing.StuckError
+	if !errors.Is(r.Err, timing.ErrWatchdog) || !errors.As(r.Err, &stuck) {
+		t.Fatalf("err = %v, want a watchdog trip with its report", r.Err)
 	}
-	if r.WatchdogTrips != 1 || r.Quarantined {
-		t.Errorf("trips=%d quarantined=%v, want 1/false", r.WatchdogTrips, r.Quarantined)
+	if r.Retries != 0 || r.WatchdogTrips != 1 || !r.Quarantined {
+		t.Fatalf("retries=%d trips=%d quarantined=%v, want 0/1/true", r.Retries, r.WatchdogTrips, r.Quarantined)
 	}
-	if r2 := e.Run([]engine.Job{j})[0]; errors.Is(r2.Err, engine.ErrQuarantined) {
-		t.Error("job quarantined after a single trip")
+
+	r2 := e.Submit(context.Background(), j)
+	if !errors.Is(r2.Err, engine.ErrQuarantined) || !r2.Quarantined {
+		t.Fatalf("second submission: err=%v quarantined=%v, want ErrQuarantined", r2.Err, r2.Quarantined)
 	}
 }
 

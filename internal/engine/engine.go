@@ -28,20 +28,16 @@ var ErrTimeout = errors.New("engine: job timed out")
 var ErrPanic = errors.New("engine: job panicked")
 
 // ErrQuarantined marks a job the engine refused to run because the
-// same job already tripped the simulator watchdog twice (once plus
-// its retry). A quarantined job is structurally stuck — retrying it
-// forever would burn a worker slot on every submission — so further
-// submissions fail fast with this error until a new engine is built.
-var ErrQuarantined = errors.New("engine: job quarantined after repeated watchdog trips")
+// same job already tripped the simulator watchdog. A trip is a pure
+// function of the program, the simulator configuration and the chaos
+// plan, so a rerun trips at the same block: further submissions fail
+// fast with this error until a new engine is built.
+var ErrQuarantined = errors.New("engine: job quarantined after a watchdog trip")
 
 // ErrCanceled marks a job aborted because its submission context was
 // canceled (errors.Is(err, context.Canceled) also holds). A canceled
 // job is never retried: the caller has already walked away.
 var ErrCanceled = errors.New("engine: job canceled")
-
-// watchdogQuarantineThreshold is the number of watchdog trips (across
-// attempts and submissions) after which a job is quarantined.
-const watchdogQuarantineThreshold = 2
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -54,8 +50,8 @@ type Config struct {
 	// Tracer, when non-nil, records per-job events and counters.
 	Tracer *Tracer
 	// RetryBackoff is the pause before a failed job's single retry.
-	// A job is retried once after a panic, timeout, or watchdog trip
-	// (transient-looking failures); ordinary compile/sim errors are
+	// A job is retried once after a panic or timeout (transient-looking
+	// failures); ordinary compile/sim errors and watchdog trips are
 	// not retried. Zero means the 50ms default; negative disables
 	// retries entirely.
 	RetryBackoff time.Duration
@@ -85,10 +81,8 @@ type Engine struct {
 	chaos   *chaos.Plan
 
 	// Watchdog quarantine: jobs (by content key) that tripped the
-	// simulator watchdog watchdogQuarantineThreshold times are
-	// refused instead of re-run.
+	// simulator watchdog are refused instead of re-run.
 	qmu         sync.Mutex
-	wdTrips     map[string]int
 	quarantined map[string]bool
 
 	// submitSeq indexes Submit results in trace events (Run indexes
@@ -127,11 +121,11 @@ func New(cfg Config) *Engine {
 	return &Engine{
 		workers: w, cache: c, timeout: cfg.Timeout, tracer: cfg.Tracer,
 		backoff: backoff, chaos: cfg.Chaos,
-		wdTrips: map[string]int{}, quarantined: map[string]bool{},
-		progs:    newProgramCache(),
-		pflights: memo.NewFlights[string, programOutcome](),
-		skel:     newSkeletonCache(c.Store()),
-		instLat:  metrics.NewWindow(instLatWindow),
+		quarantined: map[string]bool{},
+		progs:       newProgramCache(),
+		pflights:    memo.NewFlights[string, programOutcome](),
+		skel:        newSkeletonCache(c.Store()),
+		instLat:     metrics.NewWindow(instLatWindow),
 	}
 }
 
@@ -168,14 +162,14 @@ type Result struct {
 	// WallNS is the job's wall-clock time in this run (near zero on
 	// a cache hit).
 	WallNS int64
-	// Retries counts re-executions after a panic, timeout, or
-	// watchdog trip (0 or 1). A flaky cell that succeeded on retry
-	// has Retries == 1, Err == nil; the trace records it so
-	// flakiness stays visible.
+	// Retries counts re-executions after a panic or timeout (0 or 1).
+	// A flaky cell that succeeded on retry has Retries == 1,
+	// Err == nil; the trace records it so flakiness stays visible.
 	Retries int
-	// WatchdogTrips counts simulator-watchdog aborts across this
-	// submission's attempts; Quarantined reports that the job is now
-	// (or already was) quarantined.
+	// WatchdogTrips is 1 when the submission ended on a
+	// simulator-watchdog abort, which quarantines the job;
+	// Quarantined reports that the job is now (or already was)
+	// quarantined.
 	WatchdogTrips int
 	Quarantined   bool
 	// ProgramHit reports that this result skipped the compiler: the
@@ -262,17 +256,11 @@ func (e *Engine) isQuarantined(qkey string) bool {
 	return e.quarantined[qkey]
 }
 
-// recordWatchdogTrips accumulates trips for the job and quarantines
-// it once it crosses the threshold, reporting the new quarantine
-// state.
-func (e *Engine) recordWatchdogTrips(qkey string, trips int) bool {
+// quarantine refuses every later submission of the job.
+func (e *Engine) quarantine(qkey string) {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
-	e.wdTrips[qkey] += trips
-	if e.wdTrips[qkey] >= watchdogQuarantineThreshold {
-		e.quarantined[qkey] = true
-	}
-	return e.quarantined[qkey]
+	e.quarantined[qkey] = true
 }
 
 // injector returns the fault injector for the job, or nil when chaos
@@ -331,11 +319,13 @@ func (e *Engine) runOne(ctx context.Context, i int, j Job) Result {
 		timeout = e.timeout
 	}
 	o := e.attempt(ctx, j, timeout, inj, compile)
-	r.Metrics, r.Err, r.Retries, r.WatchdogTrips = o.m, o.err, o.retries, o.wdTrips
+	r.Metrics, r.Err, r.Retries = o.m, o.err, o.retries
 	r.Coalesced, r.ProgramHit = o.tier.coalesced, o.tier.programHit
 	r.SkeletonHit, r.SkeletonFallbacks = o.tier.skeletonHit, o.tier.fallbacks
-	if r.WatchdogTrips > 0 {
-		r.Quarantined = e.recordWatchdogTrips(qkey, r.WatchdogTrips)
+	if errors.Is(r.Err, timing.ErrWatchdog) {
+		r.WatchdogTrips = 1
+		r.Quarantined = true
+		e.quarantine(qkey)
 	}
 	if cacheable && r.Err == nil {
 		e.cache.Put(key, r.Metrics)
@@ -344,41 +334,33 @@ func (e *Engine) runOne(ctx context.Context, i int, j Job) Result {
 }
 
 // attemptOutcome is one execution's result: the metrics, the error,
-// the retry/watchdog bookkeeping that feeds quarantine, and how the
-// compile was served.
+// the retry count, and how the compile was served.
 type attemptOutcome struct {
 	m       Metrics
 	err     error
 	retries int
-	wdTrips int
 	tier    tierOutcome
 }
 
 // attempt executes the job body once, plus the engine's single
-// transient-failure retry. Panics, timeouts, and watchdog trips may
-// be environmental (resource pressure, a scheduling hiccup, an
-// over-aggressive fault plan): retry once after a short backoff
-// before giving the row up. Deterministic failures just fail again —
-// and a job whose retry also trips the watchdog is quarantined by the
-// caller rather than resubmitted forever. An attempt whose own
-// context has ended (deadline passed, caller gone) is never retried:
-// the second attempt would be stillborn, and the caller must still
-// receive exactly one terminal result promptly.
+// transient-failure retry. Panics and timeouts may be environmental
+// (resource pressure, a scheduling hiccup): retry once after a short
+// backoff before giving the row up. A watchdog trip is not retried:
+// the simulator and the fault plans are deterministic, so the rerun
+// would trip at the same block, and the caller quarantines the job
+// instead. An attempt whose own context has ended (deadline passed,
+// caller gone) is never retried: the second attempt would be
+// stillborn, and the caller must still receive exactly one terminal
+// result promptly.
 func (e *Engine) attempt(ctx context.Context, j Job, timeout time.Duration, inj timing.Injector, compile compileFunc) attemptOutcome {
 	var o attemptOutcome
 	o.m, o.tier, o.err = runIsolated(ctx, j, timeout, inj, compile)
-	if o.err != nil && errors.Is(o.err, timing.ErrWatchdog) {
-		o.wdTrips++
-	}
 	if e.backoff >= 0 && o.err != nil && ctx.Err() == nil &&
-		(errors.Is(o.err, ErrTimeout) || errors.Is(o.err, ErrPanic) || errors.Is(o.err, timing.ErrWatchdog)) {
+		(errors.Is(o.err, ErrTimeout) || errors.Is(o.err, ErrPanic)) {
 		time.Sleep(e.backoff)
 		if ctx.Err() == nil {
 			o.retries = 1
 			o.m, o.tier, o.err = runIsolated(ctx, j, timeout, inj, compile)
-			if o.err != nil && errors.Is(o.err, timing.ErrWatchdog) {
-				o.wdTrips++
-			}
 		}
 	}
 	return o

@@ -72,9 +72,9 @@ func TestSubmitCancelBetweenRetries(t *testing.T) {
 }
 
 // TestSubmitCancellationQuarantineInteraction walks the watchdog
-// ledger through a canceled submission: the aborted submission's one
-// trip still counts, a later full submission crosses the threshold,
-// and subsequent submissions are refused without running.
+// ledger through a canceled submission: the aborted submission's trip
+// quarantines the job by itself, and later submissions are refused
+// without running.
 func TestSubmitCancellationQuarantineInteraction(t *testing.T) {
 	tr := NewTracer()
 	e := New(Config{Workers: 1, Tracer: tr, RetryBackoff: time.Millisecond})
@@ -84,8 +84,8 @@ func TestSubmitCancellationQuarantineInteraction(t *testing.T) {
 		return Job{Workload: "stuck", Config: "wd", Fn: body}
 	}
 
-	// Submission 1: trips the watchdog, then the context dies before
-	// the retry — one trip recorded, not yet quarantined.
+	// Submission 1: trips the watchdog while its context dies — one
+	// attempt, and the job is quarantined.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	res := e.Submit(ctx, job(func() (Metrics, error) {
@@ -96,37 +96,26 @@ func TestSubmitCancellationQuarantineInteraction(t *testing.T) {
 	if attempts.Load() != 1 {
 		t.Fatalf("canceled submission ran %d attempts, want 1", attempts.Load())
 	}
-	if res.WatchdogTrips != 1 || res.Quarantined {
-		t.Fatalf("after canceled trip: trips=%d quarantined=%v, want 1/false", res.WatchdogTrips, res.Quarantined)
+	if !errors.Is(res.Err, timing.ErrWatchdog) {
+		t.Fatalf("canceled submission err = %v, want watchdog", res.Err)
+	}
+	if res.WatchdogTrips != 1 || !res.Quarantined {
+		t.Fatalf("after canceled trip: trips=%d quarantined=%v, want 1/true", res.WatchdogTrips, res.Quarantined)
 	}
 
-	// Submission 2: trips again (and once more on retry), crossing the
-	// threshold — the job is quarantined now.
+	// Submission 2: refused up front; the body never runs.
 	res2 := e.Submit(context.Background(), job(func() (Metrics, error) {
-		attempts.Add(1)
-		return Metrics{}, wdErr
-	}))
-	if !res2.Quarantined {
-		t.Fatalf("second submission should quarantine: %+v", res2)
-	}
-	if !errors.Is(res2.Err, timing.ErrWatchdog) {
-		t.Fatalf("second submission err = %v", res2.Err)
-	}
-
-	// Submission 3: refused up front; the body never runs.
-	before := attempts.Load()
-	res3 := e.Submit(context.Background(), job(func() (Metrics, error) {
 		attempts.Add(1)
 		return Metrics{}, nil
 	}))
-	if !errors.Is(res3.Err, ErrQuarantined) || !res3.Quarantined {
-		t.Fatalf("third submission should be refused: err=%v quarantined=%v", res3.Err, res3.Quarantined)
+	if !errors.Is(res2.Err, ErrQuarantined) || !res2.Quarantined {
+		t.Fatalf("second submission should be refused: err=%v quarantined=%v", res2.Err, res2.Quarantined)
 	}
-	if attempts.Load() != before {
+	if attempts.Load() != 1 {
 		t.Fatal("quarantined submission still executed the body")
 	}
-	if evs := tr.Events(); len(evs) != 3 {
-		t.Fatalf("want 3 trace events (one per submission), got %d", len(evs))
+	if evs := tr.Events(); len(evs) != 2 {
+		t.Fatalf("want 2 trace events (one per submission), got %d", len(evs))
 	}
 }
 

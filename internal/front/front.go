@@ -5,10 +5,10 @@
 //
 //   - Rendezvous routing: every request's content-addressed cache key
 //     (the same key the shard's engine will compute) ranks the shards
-//     by highest-random-weight hashing. The top-ranked healthy shard
-//     owns the key, so identical requests always land where the
-//     artifact already is, and adding or removing one shard only
-//     remaps the keys that ranked it first.
+//     by highest-random-weight hashing. The top-ranked shard owns the
+//     key, so identical requests always land where the artifact
+//     already is, and adding or removing one shard only remaps the
+//     keys that ranked it first.
 //
 //   - Hedged retries: the primary gets a budget derived from its own
 //     recent latency distribution (its p95, clamped); past the budget,
@@ -30,10 +30,10 @@
 //     without the front's flight a herd fills the primary's queue,
 //     sheds, and hedges onto the secondary.
 //
-// Topology changes arrive one way, through ApplyView: a waiter is
-// bound to exactly one flight, and a flight keeps the shard set it
-// started on, so a view change can never deliver duplicate (or zero)
-// terminal responses.
+// The shard list is fixed when the front is built. A dead shard stays
+// in every ranking: requests it owns fail over down the rank order on
+// the transport error, and a shard restarted at its old address is
+// routed to again on its next request.
 package front
 
 import (
@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/memo"
 	"repro/internal/server"
@@ -58,7 +57,7 @@ import (
 
 // Config parameterizes a Front.
 type Config struct {
-	// Shards are the initial backend base URLs (required, >= 1).
+	// Shards are the backend base URLs (required, >= 1).
 	Shards []string
 	// HedgeAfter is the floor (and cold-start value) of the hedge
 	// budget; HedgeMax caps it. Defaults: 50ms, 2s.
@@ -130,20 +129,14 @@ type Front struct {
 	cfg    Config
 	byName map[string]*workloads.Workload
 	client *http.Client
+	// set is the routing set, built once in New and never changed.
+	set *shardSet
 
-	// mu guards set, pool and draining; admission holds it across the
-	// draining check and the in-flight increment (same discipline as
-	// the server's drain).
+	// mu guards draining; admission holds it across the draining
+	// check and the in-flight increment (same discipline as the
+	// server's drain).
 	mu       sync.RWMutex
-	set      *shardSet
 	draining bool
-	// pool keeps one shard struct per member URL across
-	// membership-driven set rebuilds, so latency history and counters
-	// survive view flaps instead of resetting on every gossip delta.
-	pool map[string]*shard
-	// node is the membership observer feeding ApplyView, when one is
-	// attached (WatchMembership).
-	node *cluster.Node
 
 	inflight  sync.WaitGroup
 	inflightN atomic.Int64
@@ -162,10 +155,6 @@ type Front struct {
 	shedNexts atomic.Int64
 	allShed   atomic.Int64
 	cacheHits atomic.Int64 // responses served from a shard cache or coalesce
-	// suspectDepri counts requests whose rendezvous order was
-	// rearranged to let a healthy shard overtake a suspected one.
-	suspectDepri atomic.Int64
-	viewApplies  atomic.Int64
 	// progHits counts responses the shard served from its program
 	// tier; skelHits those whose compile was a skeleton replay on the
 	// shard; skelFallbacks accumulates the per-response fallback
@@ -198,79 +187,6 @@ func New(cfg Config) (*Front, error) {
 		f.counts[c] = &atomic.Int64{}
 	}
 	return f, nil
-}
-
-// ApplyView rebuilds the routing set from a cluster membership view:
-// the serving members (alive, joining, suspect) are ranked, and
-// suspects are flagged for deprioritization. Confirmed-dead members
-// leave the set. Rendezvous scores each (key, member) pair on its
-// own, so dropping a member leaves the relative order of the rest —
-// every live shard's key affinity — unchanged. Flights in progress
-// finish on the set they started with, and shard structs are reused
-// from a pool so latency state survives the rebuild. The pool holds
-// only the view's members, in any state: a member that flaps to
-// suspect and back keeps its latency window, and one that leaves the
-// view is dropped.
-func (f *Front) ApplyView(v cluster.View) {
-	serving := v.Serving()
-	if len(serving) == 0 {
-		// An unconverged observer view routes nowhere; keep the set
-		// we have (at worst the static seeds) until gossip catches up.
-		return
-	}
-	suspect := map[string]bool{}
-	for _, m := range v.Members {
-		if m.State == cluster.StateSuspect {
-			suspect[m.Addr] = true
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.pool == nil {
-		f.pool = map[string]*shard{}
-	}
-	// Adopt the current set's shards (the static seeds on the first
-	// view) so latency state survives the transition to
-	// membership-driven routing and every later view flap.
-	for u, s := range f.set.shards {
-		if _, ok := f.pool[u]; !ok {
-			f.pool[u] = s
-		}
-	}
-	members := make(map[string]bool, len(v.Members))
-	for _, m := range v.Members {
-		members[m.Addr] = true
-	}
-	for u := range f.pool {
-		if !members[u] {
-			delete(f.pool, u)
-		}
-	}
-	set := &shardSet{
-		shards:  make(map[string]*shard, len(serving)),
-		suspect: suspect,
-	}
-	for _, u := range serving {
-		s, ok := f.pool[u]
-		if !ok {
-			s = newShard(u)
-			f.pool[u] = s
-		}
-		set.urls = append(set.urls, u)
-		set.shards[u] = s
-	}
-	f.set = set
-	f.viewApplies.Add(1)
-}
-
-// WatchMembership subscribes the front to a membership node
-// (typically an observer): every view change reroutes through
-// ApplyView. Returns the subscription's cancel.
-func (f *Front) WatchMembership(n *cluster.Node) (cancel func()) {
-	f.mu.Lock()
-	f.node = n
-	f.mu.Unlock()
-	return n.OnChange(f.ApplyView)
 }
 
 // Draining reports whether drain has begun.
@@ -389,7 +305,6 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	f.inflight.Add(1)
 	f.inflightN.Add(1)
-	set := f.set
 	f.mu.Unlock()
 	defer func() {
 		f.inflightN.Add(-1)
@@ -405,7 +320,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		func(fctx context.Context) upstream {
 			tctx, stop := context.WithTimeout(fctx, timeout)
 			defer stop()
-			return f.hedgedDo(tctx, set, key, body)
+			return f.hedgedDo(tctx, key, body)
 		})
 	if !ok {
 		// This waiter's deadline (or client) ended first. Exactly one
@@ -426,12 +341,9 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 // If the primary is still the only try when the latency budget passes,
 // one hedge goes to the next shard. The first non-shed HTTP response
 // wins and cancels the other tries.
-func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []byte) upstream {
-	order, moved := set.deprioritizeSuspects(store.Rank(key, set.urls))
-	if moved {
-		f.suspectDepri.Add(1)
-	}
-	primary, next := set.shards[order[0]], 1
+func (f *Front) hedgedDo(ctx context.Context, key string, body []byte) upstream {
+	order := store.Rank(key, f.set.urls)
+	primary, next := f.set.shards[order[0]], 1
 
 	tryCtx, cancelTries := context.WithCancel(ctx)
 	defer cancelTries()
@@ -457,7 +369,7 @@ func (f *Front) hedgedDo(ctx context.Context, set *shardSet, key string, body []
 			reason.Add(1)
 			outstanding++
 			walked = true
-			launch(set.shards[order[next]], true)
+			launch(f.set.shards[order[next]], true)
 			next++
 		}
 	}

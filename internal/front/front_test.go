@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -393,162 +391,5 @@ func TestFrontInvalidInput(t *testing.T) {
 	}
 	if touched.Load() != 0 {
 		t.Fatalf("invalid input reached a shard %d times", touched.Load())
-	}
-}
-
-// membershipView builds a View with the given member states for
-// ApplyView tests.
-func membershipView(states map[string]cluster.State) cluster.View {
-	var ms []cluster.Member
-	for u, s := range states {
-		ms = append(ms, cluster.Member{Addr: u, State: s})
-	}
-	return cluster.View{Version: 2, Members: ms}
-}
-
-// TestFrontDeadShardSkipped: once membership confirms the rendezvous
-// primary dead, it leaves the routing set, so no try is ever launched
-// at it and the next rank serves immediately.
-func TestFrontDeadShardSkipped(t *testing.T) {
-	var served sync.Map
-	a, b := stubPair(t, func(w http.ResponseWriter, r *http.Request) {
-		served.Store(r.Host, true)
-		writeOK(w)
-	})
-	f, err := New(Config{Shards: []string{a, b}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := testRequest()
-	order := store.Rank(keyFor(t, req), []string{a, b})
-
-	f.ApplyView(membershipView(map[string]cluster.State{
-		order[0]: cluster.StateDead,
-		order[1]: cluster.StateAlive,
-	}))
-
-	w, resp := post(t, f.Handler(), req)
-	if w.Code != http.StatusOK || resp.Class != server.ClassOK {
-		t.Fatalf("status %d class %s: %s", w.Code, resp.Class, w.Body.String())
-	}
-	if got := w.Header().Get("X-Hbfront-Shard"); got != order[1] {
-		t.Fatalf("served by %s, want the surviving shard %s", got, order[1])
-	}
-	if _, ok := served.Load(hostOf(order[0])); ok {
-		t.Fatal("a try was launched at a confirmed-dead shard")
-	}
-
-	st := f.StatusSnapshot()
-	if st.ViewApplies != 1 {
-		t.Fatalf("ViewApplies = %d, want 1", st.ViewApplies)
-	}
-	// /statusz lists the routing set's shards, in its order.
-	if len(st.Shards) != 1 || st.Shards[0].URL != order[1] || st.Shards[0].State != "serving" {
-		t.Fatalf("routing set %+v, want only the serving shard %s", st.Shards, order[1])
-	}
-}
-
-// TestFrontSuspectDeprioritized (satellite): a suspected primary is
-// moved behind healthy shards rather than skipped — the healthy
-// second choice serves first and the reroute is counted, but the
-// suspect remains a last-resort candidate.
-func TestFrontSuspectDeprioritized(t *testing.T) {
-	var served sync.Map
-	a, b := stubPair(t, func(w http.ResponseWriter, r *http.Request) {
-		served.Store(r.Host, true)
-		writeOK(w)
-	})
-	f, err := New(Config{Shards: []string{a, b}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := testRequest()
-	order := store.Rank(keyFor(t, req), []string{a, b})
-
-	f.ApplyView(membershipView(map[string]cluster.State{
-		order[0]: cluster.StateSuspect,
-		order[1]: cluster.StateAlive,
-	}))
-
-	w, resp := post(t, f.Handler(), req)
-	if w.Code != http.StatusOK || resp.Class != server.ClassOK {
-		t.Fatalf("status %d class %s: %s", w.Code, resp.Class, w.Body.String())
-	}
-	if got := w.Header().Get("X-Hbfront-Shard"); got != order[1] {
-		t.Fatalf("served by %s, want the healthy shard %s", got, order[1])
-	}
-	if _, ok := served.Load(hostOf(order[0])); ok {
-		t.Fatal("the suspected shard was contacted despite a healthy primary answering")
-	}
-
-	st := f.StatusSnapshot()
-	if st.SuspectDeprioritized == 0 {
-		t.Fatalf("suspect reroute not counted: %+v", st)
-	}
-	states := map[string]string{}
-	for _, sh := range st.Shards {
-		states[sh.URL] = sh.State
-	}
-	if states[order[0]] != "suspect" || states[order[1]] != "serving" {
-		t.Fatalf("shard states = %+v", states)
-	}
-}
-
-// TestFrontPoolHoldsOnlyViewMembers: a member that leaves the view
-// leaves the shard pool, so a churning cluster does not grow it.
-func TestFrontPoolHoldsOnlyViewMembers(t *testing.T) {
-	const seed = "http://127.0.0.1:1"
-	f, err := New(Config{Shards: []string{seed}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last cluster.View
-	for i := 0; i < 1000; i++ {
-		last = membershipView(map[string]cluster.State{
-			seed: cluster.StateAlive,
-			fmt.Sprintf("http://127.0.0.2:%d", 1000+i): cluster.StateAlive,
-		})
-		f.ApplyView(last)
-	}
-	f.mu.RLock()
-	n := len(f.pool)
-	f.mu.RUnlock()
-	if n != len(last.Members) {
-		t.Fatalf("pool holds %d shards after 1000 views, want the last view's %d members", n, len(last.Members))
-	}
-}
-
-// TestFrontViewFlapKeepsShardState: shard structs are pooled across
-// ApplyView calls, so a membership flap does not reset a shard's
-// counters or latency history.
-func TestFrontViewFlapKeepsShardState(t *testing.T) {
-	a, b := stubPair(t, func(w http.ResponseWriter, r *http.Request) { writeOK(w) })
-	f, err := New(Config{Shards: []string{a, b}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := testRequest()
-	if w, _ := post(t, f.Handler(), req); w.Code != http.StatusOK {
-		t.Fatalf("warm request failed: %d", w.Code)
-	}
-	before := f.StatusSnapshot()
-
-	flap := membershipView(map[string]cluster.State{
-		a: cluster.StateAlive,
-		b: cluster.StateAlive,
-	})
-	f.ApplyView(flap)
-	f.ApplyView(flap)
-
-	after := f.StatusSnapshot()
-	var reqsBefore, reqsAfter int64
-	for _, sh := range before.Shards {
-		reqsBefore += sh.Requests
-	}
-	for _, sh := range after.Shards {
-		reqsAfter += sh.Requests
-	}
-	if reqsBefore == 0 || reqsAfter != reqsBefore {
-		t.Fatalf("per-shard counters reset across view flap: before=%d after=%d", reqsBefore, reqsAfter)
 	}
 }

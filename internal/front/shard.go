@@ -49,14 +49,10 @@ func (s *shard) hedgeBudget(cfg Config) time.Duration {
 }
 
 // shardSet is the routing set: the rendezvous names and their shard
-// structs. ApplyView replaces the whole set; in-flight work keeps the
-// set it started on. When a membership view is driving the set, urls
-// holds only its serving members, and suspect flags deprioritize the
-// members the failure detector doubts.
+// structs.
 type shardSet struct {
-	urls    []string // rendezvous node names, same order as shards
-	shards  map[string]*shard
-	suspect map[string]bool // nil when statically configured
+	urls   []string // rendezvous node names, in configured order
+	shards map[string]*shard
 }
 
 func newShardSet(urls []string) *shardSet {
@@ -74,40 +70,4 @@ func newShardSet(urls []string) *shardSet {
 		set.shards[u] = newShard(u)
 	}
 	return set
-}
-
-// state renders one member's detector state for /statusz.
-func (set *shardSet) state(u string) string {
-	switch {
-	case set.suspect[u]:
-		return "suspect"
-	case set.suspect != nil:
-		return "serving"
-	}
-	return "" // statically configured, no detector
-}
-
-// deprioritizeSuspects stably moves suspected members behind healthy
-// ones in a rendezvous order, reporting whether anything moved.
-func (set *shardSet) deprioritizeSuspects(order []string) ([]string, bool) {
-	if len(set.suspect) == 0 {
-		return order, false
-	}
-	healthy := make([]string, 0, len(order))
-	var suspects []string
-	moved := false
-	for _, u := range order {
-		if set.suspect[u] {
-			suspects = append(suspects, u)
-			continue
-		}
-		if len(suspects) > 0 {
-			moved = true // a healthy shard overtakes a suspect
-		}
-		healthy = append(healthy, u)
-	}
-	if len(suspects) == 0 {
-		return order, false
-	}
-	return append(healthy, suspects...), moved
 }

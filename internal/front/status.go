@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/cluster"
 	"repro/internal/server"
 )
 
@@ -22,9 +21,6 @@ type ShardStatus struct {
 	P50MS         float64 `json:"p50_ms"`
 	P95MS         float64 `json:"p95_ms"`
 	HedgeBudgetMS float64 `json:"hedge_budget_ms"`
-	// State is the failure detector's verdict on this member
-	// (serving/suspect; empty when statically configured).
-	State string `json:"state,omitempty"`
 }
 
 // Status is the front tier's /statusz document.
@@ -61,50 +57,30 @@ type Status struct {
 	// shed and the max upstream Retry-After was relayed.
 	ShedFailovers     int64 `json:"shed_failovers"`
 	AllShardsShedding int64 `json:"all_shards_shedding"`
-	// SuspectDeprioritized counts requests rerouted so a healthy
-	// shard overtook a suspected one. ViewApplies counts
-	// membership-driven shard-set rebuilds.
-	SuspectDeprioritized int64 `json:"suspect_deprioritized"`
-	ViewApplies          int64 `json:"view_applies,omitempty"`
 
 	Classes map[server.ErrClass]int64 `json:"classes"`
 	Shards  []ShardStatus             `json:"shards"`
-	// Membership is the front's observer-side failure detector
-	// snapshot, when one is attached.
-	Membership *cluster.Status `json:"membership,omitempty"`
 }
 
 // StatusSnapshot assembles the current Status.
 func (f *Front) StatusSnapshot() Status {
-	f.mu.RLock()
-	set := f.set
-	draining := f.draining
-	node := f.node
-	f.mu.RUnlock()
-
 	st := Status{
-		Build:                buildinfo.Collect("hbfront"),
-		UptimeSeconds:        time.Since(f.start).Seconds(),
-		Draining:             draining,
-		Requests:             f.requests.Load(),
-		Inflight:             f.inflightN.Load(),
-		Coalesced:            f.flights.Stats().Coalesced,
-		CacheHits:            f.cacheHits.Load(),
-		ProgramHits:          f.progHits.Load(),
-		SkeletonHits:         f.skelHits.Load(),
-		SkeletonFallbacks:    f.skelFallbacks.Load(),
-		Hedges:               f.hedges.Load(),
-		HedgeWins:            f.hedgeWins.Load(),
-		Failovers:            f.failovers.Load(),
-		ShedFailovers:        f.shedNexts.Load(),
-		AllShardsShedding:    f.allShed.Load(),
-		SuspectDeprioritized: f.suspectDepri.Load(),
-		ViewApplies:          f.viewApplies.Load(),
-		Classes:              map[server.ErrClass]int64{},
-	}
-	if node != nil {
-		ms := node.Status()
-		st.Membership = &ms
+		Build:             buildinfo.Collect("hbfront"),
+		UptimeSeconds:     time.Since(f.start).Seconds(),
+		Draining:          f.Draining(),
+		Requests:          f.requests.Load(),
+		Inflight:          f.inflightN.Load(),
+		Coalesced:         f.flights.Stats().Coalesced,
+		CacheHits:         f.cacheHits.Load(),
+		ProgramHits:       f.progHits.Load(),
+		SkeletonHits:      f.skelHits.Load(),
+		SkeletonFallbacks: f.skelFallbacks.Load(),
+		Hedges:            f.hedges.Load(),
+		HedgeWins:         f.hedgeWins.Load(),
+		Failovers:         f.failovers.Load(),
+		ShedFailovers:     f.shedNexts.Load(),
+		AllShardsShedding: f.allShed.Load(),
+		Classes:           map[server.ErrClass]int64{},
 	}
 	if st.Requests > 0 {
 		st.HitRate = float64(st.CacheHits) / float64(st.Requests)
@@ -114,8 +90,8 @@ func (f *Front) StatusSnapshot() Status {
 			st.Classes[c] = v
 		}
 	}
-	for _, u := range set.urls {
-		s := set.shards[u]
+	for _, u := range f.set.urls {
+		s := f.set.shards[u]
 		p50, _ := s.lat.Quantile(0.50)
 		p95, _ := s.lat.Quantile(0.95)
 		st.Shards = append(st.Shards, ShardStatus{
@@ -125,7 +101,6 @@ func (f *Front) StatusSnapshot() Status {
 			P50MS:         float64(p50) / 1e6,
 			P95MS:         float64(p95) / 1e6,
 			HedgeBudgetMS: float64(s.hedgeBudget(f.cfg).Nanoseconds()) / 1e6,
-			State:         set.state(u),
 		})
 	}
 	return st

@@ -32,10 +32,10 @@ const (
 	// metrics are real but the measured program is not the fully
 	// transformed one.
 	ClassDegraded ErrClass = "degraded"
-	// ClassQuarantined marks a request refused (or failed) because
-	// the engine has quarantined the job after repeated simulator
-	// watchdog trips: the input is structurally stuck and retrying it
-	// is pointless until the server restarts.
+	// ClassQuarantined marks a request refused because the engine
+	// quarantined the job at its simulator watchdog trip: the input is
+	// structurally stuck and retrying it is pointless until the server
+	// restarts.
 	ClassQuarantined ErrClass = "quarantined"
 	// ClassTimeout covers deadline and cancellation outcomes: the
 	// per-request deadline expired (propagated end-to-end through the
@@ -47,9 +47,9 @@ const (
 	// budget, heap above the watermark, or drain in progress. Always
 	// safe to retry after the advertised Retry-After.
 	ClassShed ErrClass = "shed"
-	// ClassInternal is everything else: phase panics, watchdog
-	// aborts that did not reach quarantine, simulator errors on
-	// well-formed input. These are server-side bugs by definition.
+	// ClassInternal is everything else: phase panics, the watchdog
+	// abort that quarantines a job, simulator errors on well-formed
+	// input. These are server-side bugs by definition.
 	ClassInternal ErrClass = "internal"
 )
 

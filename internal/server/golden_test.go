@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/store"
 )
@@ -32,8 +31,7 @@ const goldenRetryAfter = `[1139134323 1022200121 1062458758 1230124769 122152200
 
 // TestStatuszFieldsInUse pins the /statusz paths that CI's smoke steps
 // grep and bench/ decodes. A live snapshot of a shard with a peer
-// tier, a membership node, and a sweeper that has passed over a dead
-// peer must render every one of them.
+// tier and a sweeper that has run must render every one of them.
 func TestStatuszFieldsInUse(t *testing.T) {
 	ctx := context.Background()
 	const dead = "http://127.0.0.1:1"
@@ -43,12 +41,7 @@ func TestStatuszFieldsInUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweeper := store.NewSweeper(local, local, peer)
-	sweeper.SetView(func() store.SweepView { return store.SweepView{Dead: []string{dead}} })
 	if _, err := sweeper.SweepOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	node, err := cluster.New(cluster.Config{Self: "http://127.0.0.1:2", Seeds: []string{dead}})
-	if err != nil {
 		t.Fatal(err)
 	}
 	cache := engine.NewStoreCache(store.NewTiered(local, peer))
@@ -57,7 +50,6 @@ func TestStatuszFieldsInUse(t *testing.T) {
 		Engine:  engine.New(engine.Config{Workers: 1, Cache: cache}),
 		Workers: 1,
 		Sweeper: sweeper,
-		Cluster: node,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +68,6 @@ func TestStatuszFieldsInUse(t *testing.T) {
 		"flights.flights",
 		"anti_entropy.sweeps",
 		"anti_entropy.pushes",
-		"anti_entropy.sweeper_dead_peers_skipped",
-		"membership.members[].addr",
-		"membership.members[].state",
 		"program.hits",
 		"program.misses",
 		"program.entries",

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/cluster"
 	"repro/internal/compiler"
 	"repro/internal/engine"
 	"repro/internal/lang"
@@ -81,12 +80,6 @@ type Config struct {
 	// node's fault-injection counters (netchaos.Stats under storm
 	// testing; absent in production).
 	InjectedFaults func() any
-	// Cluster, when non-nil, is this node's gossip membership
-	// participant: the server mounts its wire protocol under
-	// /cluster/ and surfaces its view in /statusz. The caller owns
-	// Start/Stop and the ring-consumer wiring (peer store tiers and
-	// the Sweeper re-derive placement from its View).
-	Cluster *cluster.Node
 }
 
 func (c Config) withDefaults() Config {
@@ -703,9 +696,6 @@ type Status struct {
 	// absent.
 	AntiEntropy    *store.SweepStats `json:"anti_entropy,omitempty"`
 	InjectedFaults any               `json:"injected_faults,omitempty"`
-	// Membership is the node's failure-detector snapshot (gossip
-	// state, incarnation, member table) when it runs in a cluster.
-	Membership *cluster.Status `json:"membership,omitempty"`
 }
 
 // StatusSnapshot assembles the current Status (also used by tests,
@@ -746,10 +736,6 @@ func (s *Server) StatusSnapshot() Status {
 	if s.cfg.InjectedFaults != nil {
 		st.InjectedFaults = s.cfg.InjectedFaults()
 	}
-	if s.cfg.Cluster != nil {
-		ms := s.cfg.Cluster.Status()
-		st.Membership = &ms
-	}
 	return st
 }
 
@@ -766,9 +752,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	if s.cfg.ArtifactStore != nil {
 		mux.Handle(store.ArtifactPath, store.NewHandler(s.cfg.ArtifactStore, engine.KeySchema))
-	}
-	if s.cfg.Cluster != nil {
-		mux.Handle(cluster.PathPrefix, s.cfg.Cluster.Handler())
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)

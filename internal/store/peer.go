@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 )
 
@@ -29,9 +28,9 @@ const (
 // PeerOpts tunes the peer-store client beyond the NewPeer defaults.
 type PeerOpts struct {
 	// Replicas is R, the number of peers (in rendezvous order) that
-	// should hold each key: Put fans out to the top R, and read-repair
-	// pushes a deep hit back to the missed replicas ahead of it. 0 or
-	// 1 means single-copy (the pre-replication behavior).
+	// should hold each key: Put fans out to the top R, and when R > 1
+	// Get pushes a hit found past the first rank back onto the missed
+	// replicas ahead of it (read repair). 0 or 1 means single-copy.
 	Replicas int
 	// OpTimeout bounds each single peer round-trip, derived from —
 	// never exceeding — the caller's context. 0 leaves attempts
@@ -39,17 +38,13 @@ type PeerOpts struct {
 	// per-op bound keeps one hung peer from eating the whole budget
 	// that the remaining replicas could have served within.
 	OpTimeout time.Duration
-	// ReadRepair re-PUTs a verified hit found on a lower-ranked
-	// replica onto the higher-ranked replicas that missed, healing
-	// under-replication on the read path.
-	ReadRepair bool
 }
 
 // Peer is the HTTP client side of the artifact protocol: a read
 // (-through) and write (-back) view of one or more remote stores.
 // Reads try peers in rendezvous order for the key and stop at the
-// first verified hit, optionally repairing earlier-ranked replicas
-// that missed; writes fan out to the key's top-R rendezvous replicas
+// first verified hit, repairing earlier-ranked replicas that missed
+// when R > 1; writes fan out to the key's top-R rendezvous replicas
 // and succeed if any copy lands. Every fetched envelope is
 // re-verified locally — schema, key, and recomputed payload SHA-256 —
 // so a byzantine or bit-rotted peer degrades to a miss, never a
@@ -60,19 +55,7 @@ type Peer struct {
 	schema int
 	client *http.Client
 	opts   PeerOpts
-	// live, when set, replaces the static base list with sets derived
-	// from the cluster membership view (see SetMembership).
-	live atomic.Pointer[membership]
 	counters
-}
-
-// membership is the dynamically derived peer topology: read is the
-// Get-walk candidate set (every serving member), own is the Put
-// fan-out ranking set (replica owners only — joining members are
-// excluded until warmed).
-type membership struct {
-	read []string
-	own  []string
 }
 
 // NewPeer builds a single-copy peer-store client over the given base
@@ -99,39 +82,11 @@ func NewPeerWith(name string, schema int, bases []string, client *http.Client, o
 }
 
 // Bases returns the configured peer base URLs (cleaned). The
-// anti-entropy sweeper walks these to place repairs when no live
-// membership view has been installed.
+// anti-entropy sweeper ranks these to place repairs.
 func (p *Peer) Bases() []string {
 	out := make([]string, len(p.bases))
 	copy(out, p.bases)
 	return out
-}
-
-// SetMembership installs live peer sets derived from the cluster
-// view, replacing the static flag list: read is the Get-walk
-// candidate set (serving members), own is the Put fan-out ranking
-// set (replica owners). Both should already exclude this node.
-// Callers re-invoke on every view change; the swap is atomic and
-// in-flight operations keep the set they started with.
-func (p *Peer) SetMembership(read, own []string) {
-	p.live.Store(&membership{read: cleanBases(read), own: cleanBases(own)})
-}
-
-// readBases is the Get-walk candidate set: the live view when one is
-// installed, else the static flag list.
-func (p *Peer) readBases() []string {
-	if m := p.live.Load(); m != nil {
-		return m.read
-	}
-	return p.bases
-}
-
-// ownBases is the Put fan-out ranking set.
-func (p *Peer) ownBases() []string {
-	if m := p.live.Load(); m != nil {
-		return m.own
-	}
-	return p.bases
 }
 
 func cleanBases(bases []string) []string {
@@ -162,22 +117,21 @@ func (p *Peer) opCtx(ctx context.Context) (context.Context, context.CancelFunc) 
 // Get fetches and verifies key from the peers in rendezvous order.
 // Transport failures, 404s, schema refusals, and verification
 // failures all continue to the next peer; exhausting the list is a
-// miss. A verified hit found past replicas that missed is pushed back
-// onto them (read-repair) when enabled.
+// miss. With R > 1, a verified hit found past replicas that missed is
+// pushed back onto them (read repair).
 func (p *Peer) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	p.gets.Add(1)
-	bases := p.readBases()
-	if !ValidKey(key) || len(bases) == 0 {
+	if !ValidKey(key) || len(p.bases) == 0 {
 		p.misses.Add(1)
 		return nil, false, nil
 	}
-	ranked := Rank(key, bases)
+	ranked := Rank(key, p.bases)
 	var lastErr error
 	for i, base := range ranked {
 		payload, err := p.getAt(ctx, base, key)
 		if err == nil && payload != nil {
 			p.hits.Add(1)
-			if p.opts.ReadRepair && i > 0 {
+			if p.opts.Replicas > 1 && i > 0 {
 				p.repair(ctx, ranked[:min(i, p.opts.Replicas)], key, payload)
 			}
 			return payload, true, nil
@@ -259,11 +213,10 @@ func (p *Peer) Put(ctx context.Context, key string, payload []byte) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	bases := p.ownBases()
-	if len(bases) == 0 {
+	if len(p.bases) == 0 {
 		return nil
 	}
-	ranked := Rank(key, bases)
+	ranked := Rank(key, p.bases)
 	if len(ranked) > p.opts.Replicas {
 		ranked = ranked[:p.opts.Replicas]
 	}

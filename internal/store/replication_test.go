@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -99,7 +100,7 @@ func TestPeerReadRepair(t *testing.T) {
 	ctx := context.Background()
 	nodes, bases := newNodes(t, 3, 3)
 	idx := byBase(nodes)
-	p := NewPeerWith("rr", 3, bases, nil, PeerOpts{Replicas: 2, ReadRepair: true})
+	p := NewPeerWith("rr", 3, bases, nil, PeerOpts{Replicas: 2})
 
 	k := key(3)
 	payload := []byte(`{"cycles":11}`)
@@ -121,16 +122,17 @@ func TestPeerReadRepair(t *testing.T) {
 		t.Fatalf("ReadRepairs = %d, want 1 (%+v)", st.ReadRepairs, st)
 	}
 
-	// Without ReadRepair the same topology must leave rank-0 alone.
+	// At R=1 there is no replica to repair: the same topology must
+	// leave rank-0 alone.
 	k2 := key(4)
 	ranked2 := Rank(k2, bases)
 	idx[ranked2[1]].mem.Put(ctx, k2, payload)
-	p2 := NewPeerWith("no-rr", 3, bases, nil, PeerOpts{Replicas: 2})
+	p2 := NewPeerWith("no-rr", 3, bases, nil, PeerOpts{Replicas: 1})
 	if _, ok, _ := p2.Get(ctx, k2); !ok {
 		t.Fatal("deep read without repair missed")
 	}
 	if _, ok, _ := idx[ranked2[0]].mem.Get(ctx, k2); ok {
-		t.Fatal("repair ran with ReadRepair disabled")
+		t.Fatal("repair ran at replication factor 1")
 	}
 }
 
@@ -359,7 +361,8 @@ func TestDiskScrub(t *testing.T) {
 
 // TestSweeper: one anti-entropy pass pushes every local key to its
 // top-R peers; the next pass finds full replication and pushes
-// nothing.
+// nothing. A peer restarted in place with an empty store is refilled
+// by one more pass: exactly the keys that rank it in their top R.
 func TestSweeper(t *testing.T) {
 	ctx := context.Background()
 	nodes, bases := newNodes(t, 3, 3)
@@ -401,71 +404,39 @@ func TestSweeper(t *testing.T) {
 	if st.Replication["2"] != int64(len(payloads)) {
 		t.Fatalf("replication histogram: %+v, want all keys in bucket 2", st.Replication)
 	}
-}
 
-// TestSweeperDeadSkip (satellite): with a live view installed, a
-// confirmed-dead member still occupies its rendezvous ranks but is
-// skipped — each affected key's replica advances to the next live
-// rank, the histogram lands everything at R from live copies alone,
-// and no error is burned probing the corpse.
-func TestSweeperDeadSkip(t *testing.T) {
-	ctx := context.Background()
-	nodes, bases := newNodes(t, 3, 3)
-	// The dead member: confirmed by the failure detector, listener
-	// gone. Its URL stays in the ranking set via SweepView.Dead.
-	deadBase := bases[2]
-	nodes[2].srv.Close()
-	live := bases[:2]
-
-	localKeys := []string{}
-	local := NewMem()
-	for i := 40; i < 46; i++ {
-		k := key(i)
-		local.Put(ctx, k, []byte(fmt.Sprintf(`{"cycles":%d}`, i)))
-		localKeys = append(localKeys, k)
-	}
-
-	p := NewPeerWith("deadskip", 3, live, nil, PeerOpts{Replicas: 2})
-	s := NewSweeper(local, local, p)
-	s.SetView(func() SweepView {
-		return SweepView{Targets: live, Dead: []string{deadBase}}
-	})
-
-	if _, err := s.SweepOnce(ctx); err != nil {
+	// Restart the first-ranked replica of key(20) at its URL with an
+	// empty store.
+	victim := Rank(key(20), bases)[0]
+	idx[victim].srv.Close()
+	ln, err := net.Listen("tcp", strings.TrimPrefix(victim, "http://"))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The skip count is exactly the number of top-R ranks the dead
-	// member occupied across the key set — fully deterministic.
-	wantSkips := int64(0)
-	for _, k := range localKeys {
+	fresh := NewMem()
+	srv := &httptest.Server{Listener: ln, Config: &http.Server{Handler: NewHandler(fresh, 3)}}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	want := map[string]bool{}
+	for k := range payloads {
 		for _, base := range Rank(k, bases)[:2] {
-			if base == deadBase {
-				wantSkips++
+			if base == victim {
+				want[k] = true
 			}
 		}
-	}
-	if wantSkips == 0 {
-		t.Fatal("test key set never ranks the dead member in its top-2; widen the key range")
 	}
 
-	st := s.Stats()
-	if st.DeadPeersSkipped != wantSkips {
-		t.Fatalf("DeadPeersSkipped = %d, want %d", st.DeadPeersSkipped, wantSkips)
+	pushed, err = s.SweepOnce(ctx)
+	if err != nil || pushed != len(want) {
+		t.Fatalf("refill sweep: pushed=%d err=%v, want %d/nil", pushed, err, len(want))
 	}
-	if st.Errors != 0 {
-		t.Fatalf("sweep burned %d errors probing a known-dead peer", st.Errors)
-	}
-	if st.Replication["2"] != int64(len(localKeys)) {
-		t.Fatalf("replication histogram %+v, want all %d keys at bucket 2", st.Replication, len(localKeys))
-	}
-	// Every key really landed on both live members.
-	idx := byBase(nodes[:2])
-	for _, k := range localKeys {
-		for _, base := range live {
-			if _, ok, _ := idx[base].mem.Get(ctx, k); !ok {
-				t.Fatalf("key %s missing on live member %s", k[:8], base)
-			}
+	for k := range payloads {
+		got, ok, _ := fresh.Get(ctx, k)
+		if ok != want[k] || (ok && string(got) != string(payloads[k])) {
+			t.Fatalf("key %s on the restarted replica: has=%v, want %v", k[:8], ok, want[k])
 		}
+	}
+	if st := s.Stats(); st.Replication["2"] != int64(len(payloads)) || len(st.Replication) != 1 {
+		t.Fatalf("replication histogram after refill: %+v, want all keys in bucket 2", st.Replication)
 	}
 }

@@ -87,9 +87,9 @@ func TestValidKey(t *testing.T) {
 
 // TestRank checks the rendezvous properties routing depends on:
 // determinism, full permutation, spread across nodes, and minimal
-// disruption when a node leaves. The front ranks only the serving
-// members of a membership view, so removing any one node, whatever its
-// rank, must leave the relative order of all the others unchanged.
+// disruption when a node leaves: removing any one node from a shard
+// list, whatever its rank, must leave the relative order of all the
+// others unchanged.
 func TestRank(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c", "http://d", "http://e"}
 	first := map[string]int{}

@@ -13,21 +13,20 @@ import (
 // keys, probes each key's top-R peer replicas, and pushes the local
 // copy onto any replica that is missing it. Read-repair heals keys
 // that get read; the sweeper heals the ones that don't — cold keys
-// whose replica died, writes that landed on fewer than R copies
-// because a peer was down or the disk said ENOSPC. One full sweep of
-// every node leaves every surviving key at full replication.
+// whose replica restarted with an empty store, writes that landed on
+// fewer than R copies because a peer was down or the disk said
+// ENOSPC. One full sweep of every node leaves every surviving key at
+// full replication once every peer is reachable.
 type Sweeper struct {
 	local Lister
 	src   Store
 	peer  *Peer
 
-	sweeps      atomic.Int64
-	pushes      atomic.Int64
-	errs        atomic.Int64
-	deadSkipped atomic.Int64
+	sweeps atomic.Int64
+	pushes atomic.Int64
+	errs   atomic.Int64
 
 	mu       sync.Mutex
-	viewFn   func() SweepView
 	lastHist map[int]int64 // remote copies per key, from the last sweep
 	lastKeys int
 	lastAt   time.Time
@@ -54,33 +53,6 @@ type SweepStats struct {
 	// LastSweep is when the last pass finished (RFC3339, zero if none
 	// yet).
 	LastSweep string `json:"last_sweep,omitempty"`
-	// DeadPeersSkipped counts rendezvous ranks that fell on a
-	// confirmed-dead member and were passed over: each skip means a
-	// key's replica moved to the next live rank instead of being
-	// pushed at a corpse (and the histogram counts live copies only,
-	// so a permanently dead peer no longer pins it below R).
-	DeadPeersSkipped int64 `json:"sweeper_dead_peers_skipped,omitempty"`
-}
-
-// SweepView is the live placement input derived from the cluster
-// membership view: Targets are the push/probe candidates (serving and
-// joining members, self excluded — pushing at a joining member is how
-// it gets warmed), Dead are confirmed-dead members still occupying
-// rendezvous ranks. A dead member in a key's top-R is skipped — the
-// next live rank takes its place, which is the whole rebalancing
-// story: re-replication is rank advancement, not key migration.
-type SweepView struct {
-	Targets []string
-	Dead    []string
-}
-
-// SetView installs a callback consulted at the start of every sweep
-// for the current placement view. Without one the sweeper falls back
-// to the peer client's static base list with nothing dead.
-func (s *Sweeper) SetView(fn func() SweepView) {
-	s.mu.Lock()
-	s.viewFn = fn
-	s.mu.Unlock()
 }
 
 // NewSweeper builds a sweeper pushing src's keys (enumerated via
@@ -107,38 +79,16 @@ func (s *Sweeper) SweepOnce(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("store: sweep: list keys: %w", err)
 	}
 	r := s.peer.Replicas()
-	s.mu.Lock()
-	viewFn := s.viewFn
-	s.mu.Unlock()
-	view := SweepView{Targets: s.peer.Bases()}
-	if viewFn != nil {
-		view = viewFn()
-	}
-	dead := make(map[string]bool, len(view.Dead))
-	for _, d := range view.Dead {
-		dead[d] = true
-	}
-	// Rank over live targets and dead tombstones together so a dead
-	// member still claims its rendezvous rank — then skip it, letting
-	// the next live rank inherit the replica.
-	bases := append(append([]string{}, view.Targets...), view.Dead...)
+	bases := s.peer.Bases()
 	hist := make(map[int]int64)
 	pushed := 0
 	for _, key := range keys {
 		if ctx.Err() != nil {
 			return pushed, ctx.Err()
 		}
-		ranked := Rank(key, bases)
-		targets := make([]string, 0, r)
-		for _, base := range ranked {
-			if len(targets) == r {
-				break
-			}
-			if dead[base] {
-				s.deadSkipped.Add(1)
-				continue
-			}
-			targets = append(targets, base)
+		targets := Rank(key, bases)
+		if len(targets) > r {
+			targets = targets[:r]
 		}
 		copies := 0
 		var payload []byte
@@ -219,10 +169,9 @@ func (s *Sweeper) Stop() {
 // Stats snapshots the sweeper.
 func (s *Sweeper) Stats() SweepStats {
 	st := SweepStats{
-		Sweeps:           s.sweeps.Load(),
-		Pushes:           s.pushes.Load(),
-		Errors:           s.errs.Load(),
-		DeadPeersSkipped: s.deadSkipped.Load(),
+		Sweeps: s.sweeps.Load(),
+		Pushes: s.pushes.Load(),
+		Errors: s.errs.Load(),
 	}
 	s.mu.Lock()
 	st.Keys = s.lastKeys

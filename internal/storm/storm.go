@@ -25,14 +25,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos/netchaos"
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/front"
 	"repro/internal/load"
@@ -72,16 +73,14 @@ type Config struct {
 	// storm phase requires zero lost responses — every request must be
 	// served ok from the survivors' replicas.
 	Kill bool
-	// Churn exercises membership under node turnover: one third into
+	// Churn exercises a shard restart under traffic: one third into
 	// the burst shard 0 is killed abruptly (kill -9 semantics: its
-	// listener, gossip participant, and sweeper all vanish at once),
-	// two thirds in a fresh shard boots and joins through a surviving
-	// seed. Every burst response must be ok-class with zero losses,
-	// the detector must converge (victim dead, newcomer alive, in
-	// every survivor's view and the front's), and after anti-entropy
-	// every key must sit at exactly R live copies again. Plan may
-	// carry mild faults (e.g. latency-only) to make seeds meaningful;
-	// Profile is ignored in churn mode.
+	// listener and sweeper vanish at once), two thirds in a
+	// replacement with an empty store starts at the victim's address.
+	// Every burst response must be ok-class with zero losses, and
+	// after anti-entropy every key must sit at exactly R copies again.
+	// Plan may carry mild faults (e.g. latency-only) to make seeds
+	// meaningful; Profile is ignored in churn mode.
 	Churn bool
 	// Profile, when set, shapes phase-B traffic with the same seeded
 	// arrival schedules hbload replays (see internal/load) instead of
@@ -127,7 +126,7 @@ func (c Config) withDefaults() Config {
 		c.ProfileSpan = 2 * time.Second
 	}
 	if c.Churn {
-		// Churn paces its kill and join off the uniform request
+		// Churn paces its kill and restart off the uniform request
 		// stream; profile shaping does not compose with it.
 		c.Profile = ""
 	}
@@ -149,12 +148,9 @@ type Report struct {
 	Kill     bool   `json:"kill,omitempty"`
 	Churn    bool   `json:"churn,omitempty"`
 	Profile  string `json:"profile,omitempty"`
-	// KilledShard/JoinedShard record the churn (or kill) cast;
-	// MembershipConverged reports whether every live view agreed on
-	// the final membership within the convergence deadline.
-	KilledShard         string `json:"killed_shard,omitempty"`
-	JoinedShard         string `json:"joined_shard,omitempty"`
-	MembershipConverged bool   `json:"membership_converged,omitempty"`
+	// KilledShard is the URL of the shard the kill (or churn) took
+	// down; under churn its replacement listens there too.
+	KilledShard string `json:"killed_shard,omitempty"`
 
 	// Issued counts requests sent across all phases; Lost counts
 	// requests that never produced a terminal response inside the
@@ -197,49 +193,26 @@ type node struct {
 	sweeper  *store.Sweeper
 	srv      *server.Server
 	hs       *httptest.Server
-	cl       *cluster.Node
-	unwatch  func()
 	dead     bool
 }
 
-// kill is the in-process kill -9: listener, in-flight connections,
-// gossip participant, everything gone at once, no drain, no goodbye.
-// A real SIGKILL takes the sweeper and the refutation loop with it —
-// stopping the cluster node here is what lets the suspicion timeout
-// actually confirm the death instead of being refuted forever.
+// newNode makes an unstarted shard with an empty store on ln, so that
+// its address is known before its server is built (the peer lists and
+// the fault names are keyed on it).
+func newNode(ln net.Listener) *node {
+	return &node{
+		local: store.NewMem(),
+		hs:    &httptest.Server{Listener: ln, Config: &http.Server{}},
+		url:   "http://" + ln.Addr().String(),
+	}
+}
+
+// kill is the in-process kill -9: listener, in-flight connections and
+// sweeper gone at once, no drain, no goodbye.
 func (n *node) kill() {
 	n.dead = true
 	n.hs.CloseClientConnections()
 	n.hs.Close()
-	if n.cl != nil {
-		n.cl.Stop()
-	}
-	if n.unwatch != nil {
-		n.unwatch()
-	}
-}
-
-// Gossip timing for the in-process farm: fast enough that suspicion
-// confirms within a test budget, slow enough that injected latency
-// (tens of ms) does not flap healthy members.
-const (
-	stormProbeInterval = 150 * time.Millisecond
-	stormProbeTimeout  = 100 * time.Millisecond
-	stormSuspicion     = time.Second
-	stormJoinWarmup    = 400 * time.Millisecond
-	stormConverge      = 15 * time.Second
-)
-
-// handlerBox/hswap mirror the front cluster tests: a swappable
-// handler so servers can be built after their listener address is
-// known (injectors hash node addresses).
-type handlerBox struct{ h http.Handler }
-
-type hswap struct{ v atomic.Value }
-
-func (h *hswap) store(hh http.Handler) { h.v.Store(handlerBox{hh}) }
-func (h *hswap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.v.Load().(handlerBox).h.ServeHTTP(w, r)
 }
 
 // canonical is the clean-phase ground truth for one key.
@@ -259,6 +232,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Shards:   cfg.Shards,
 		Replicas: cfg.Replicas,
 		Kill:     cfg.Kill,
+		Churn:    cfg.Churn,
 		Profile:  string(cfg.Profile),
 	}
 	logf := cfg.Logf
@@ -290,64 +264,42 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// --- Boot the farm -------------------------------------------------
-	// Listener first (addresses seed the injectors and the gossip),
-	// then the stack per shard: local store → membership-driven peer
-	// tier → engine → sweeper → gossip node → server. Every ring
-	// consumer re-derives placement from the node's live View; the
-	// seed list is only the bootstrap fallback. The shards listen on
-	// ephemeral ports, so every injector hashes them by name (storm-i,
-	// the shard ID), and one seed draws one fault schedule on every run
-	// up to timing.
+	// Listeners first (the static peer lists and the fault names are
+	// keyed on their addresses), then the stack per shard: local store
+	// → peer tier over the other shards → engine → sweeper → server.
+	// The shards listen on ephemeral ports, so every injector hashes
+	// them by name (storm-i, the shard ID), and one seed draws one
+	// fault schedule on every run up to timing.
 	nodes := make([]*node, cfg.Shards)
 	urls := make([]string, cfg.Shards)
 	names := &netchaos.Names{}
 	for i := range nodes {
-		sw := &hswap{}
-		sw.store(http.NotFoundHandler())
-		hs := httptest.NewUnstartedServer(sw)
-		nodes[i] = &node{
-			local: store.NewMem(),
-			hs:    hs,
-			url:   "http://" + hs.Listener.Addr().String(),
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("storm: shard %d: %w", i, err)
 		}
+		nodes[i] = newNode(ln)
 		urls[i] = nodes[i].url
 		names.Set(urls[i], shardName(i))
 	}
-	boot := func(idx int, seeds []string, warmup time.Duration, n *node) error {
+	boot := func(idx int, n *node) error {
+		var peers []string
+		for j, u := range urls {
+			if j != idx {
+				peers = append(peers, u)
+			}
+		}
 		n.injector = netchaos.New(cfg.Plan, shardName(idx))
 		n.injector.SetNames(names)
-		peer := store.NewPeerWith("peers", engine.KeySchema, seeds,
+		peer := store.NewPeerWith("peers", engine.KeySchema, peers,
 			&http.Client{Transport: n.injector.Transport(nil)},
 			store.PeerOpts{
-				Replicas:   cfg.Replicas,
-				OpTimeout:  750 * time.Millisecond,
-				ReadRepair: true,
+				Replicas:  cfg.Replicas,
+				OpTimeout: 750 * time.Millisecond,
 			})
 		backing := store.NewTiered(n.injector.Store(n.local), peer)
 		eng := engine.New(engine.Config{Workers: 4, Cache: engine.NewStoreCache(backing)})
 		n.sweeper = store.NewSweeper(n.local, n.local, peer)
-		cl, err := cluster.New(cluster.Config{
-			Self:             n.url,
-			Seeds:            seeds,
-			ProbeInterval:    stormProbeInterval,
-			ProbeTimeout:     stormProbeTimeout,
-			SuspicionTimeout: stormSuspicion,
-			JoinWarmup:       warmup,
-			Client:           &http.Client{Transport: n.injector.Transport(nil)},
-			Seed:             cfg.Plan.Seed*31 + int64(idx),
-		})
-		if err != nil {
-			return err
-		}
-		n.cl = cl
-		self := n.url
-		n.unwatch = cl.OnChange(func(v cluster.View) {
-			peer.SetMembership(cluster.Exclude(v.Serving(), self), cluster.Exclude(v.Owners(), self))
-		})
-		n.sweeper.SetView(func() store.SweepView {
-			v := cl.View()
-			return store.SweepView{Targets: cluster.Exclude(v.Placement(), self), Dead: v.Dead()}
-		})
 		inj := n.injector
 		srv, err := server.New(server.Config{
 			Engine:         eng,
@@ -356,7 +308,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			ShardID:        shardName(idx),
 			ArtifactStore:  n.local,
 			Sweeper:        n.sweeper,
-			Cluster:        cl,
 			InjectedFaults: func() any { return inj.Stats() },
 			DefaultTimeout: cfg.RequestTimeout,
 			MaxTimeout:     2 * cfg.RequestTimeout,
@@ -365,20 +316,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			return err
 		}
 		n.srv = srv
-		n.hs.Config.Handler.(*hswap).store(srv.Handler())
+		n.hs.Config.Handler = srv.Handler()
 		n.hs.Start()
-		cl.Start()
 		return nil
 	}
 	injectors := make([]*netchaos.Injector, 0, cfg.Shards+2)
 	for i, n := range nodes {
-		var seeds []string
-		for j, u := range urls {
-			if j != i {
-				seeds = append(seeds, u)
-			}
-		}
-		if err := boot(i, seeds, 0, n); err != nil {
+		if err := boot(i, n); err != nil {
 			return nil, fmt.Errorf("storm: shard %d: %w", i, err)
 		}
 		injectors = append(injectors, n.injector)
@@ -387,35 +331,17 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		for _, n := range nodes {
 			if !n.dead {
 				n.srv.Drain()
-				n.cl.Stop()
-				if n.unwatch != nil {
-					n.unwatch()
-				}
 				n.hs.Close()
 			}
 		}
 	}()
 
 	// --- Front tier ----------------------------------------------------
-	// The front runs a membership observer: it probes the ring and
-	// maintains a view like a member, but never announces itself.
-	// Routing, hedging, and shed-walking re-derive from the view on
-	// every change (dead shards dropped, suspects deprioritized).
+	// The front routes over the same static shard list: a request
+	// whose shard is down fails over down the rendezvous order.
 	frontInj := netchaos.New(cfg.Plan, "front")
 	frontInj.SetNames(names)
 	injectors = append(injectors, frontInj)
-	obs, err := cluster.New(cluster.Config{
-		Observer:         true,
-		Seeds:            urls,
-		ProbeInterval:    stormProbeInterval,
-		ProbeTimeout:     stormProbeTimeout,
-		SuspicionTimeout: stormSuspicion,
-		Client:           &http.Client{Transport: frontInj.Transport(nil)},
-		Seed:             cfg.Plan.Seed*31 + 997,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("storm: front observer: %w", err)
-	}
 	f, err := front.New(front.Config{
 		Shards:         urls,
 		Client:         &http.Client{Transport: frontInj.Transport(nil)},
@@ -426,13 +352,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storm: front: %w", err)
 	}
-	unwatchFront := f.WatchMembership(obs)
-	obs.Start()
 	fs := httptest.NewServer(f.Handler())
 	defer func() {
 		f.Drain()
-		obs.Stop()
-		unwatchFront()
 		fs.Close()
 	}()
 	client := fs.Client()
@@ -526,7 +448,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	// --- Phase B: the storm --------------------------------------------
 	rep.StormClasses = map[string]int{}
-	killAt, joinAt := cfg.Requests/3, 2*cfg.Requests/3
+	killAt, restartAt := cfg.Requests/3, 2*cfg.Requests/3
 	switch {
 	case cfg.Kill:
 		logf("phase B: killing shard 0 (%s), %d requests through survivors", nodes[0].url, cfg.Requests)
@@ -534,14 +456,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		nodes[0].kill()
 	case cfg.Churn:
 		if cfg.Plan.Active() {
-			logf("phase B: churn under %s — kill %s at request %d, join a fresh shard at %d, %d requests",
-				cfg.Plan.Name(), nodes[0].url, killAt, joinAt, cfg.Requests)
+			logf("phase B: churn under %s — kill %s at request %d, restart it empty at %d, %d requests",
+				cfg.Plan.Name(), nodes[0].url, killAt, restartAt, cfg.Requests)
 			for _, in := range injectors {
 				in.Arm()
 			}
 		} else {
-			logf("phase B: churn — kill %s at request %d, join a fresh shard at %d, %d requests",
-				nodes[0].url, killAt, joinAt, cfg.Requests)
+			logf("phase B: churn — kill %s at request %d, restart it empty at %d, %d requests",
+				nodes[0].url, killAt, restartAt, cfg.Requests)
 		}
 	default:
 		if cfg.Profile != "" {
@@ -592,31 +514,27 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				rep.KilledShard = nodes[0].url
 				nodes[0].kill()
 			}
-			if cfg.Churn && i == joinAt {
-				sw := &hswap{}
-				sw.store(http.NotFoundHandler())
-				hs := httptest.NewUnstartedServer(sw)
-				nn := &node{
-					local: store.NewMem(),
-					hs:    hs,
-					url:   "http://" + hs.Listener.Addr().String(),
+			if cfg.Churn && i == restartAt {
+				// The replacement takes the victim's address and shard
+				// ID with an empty store: every static peer list and
+				// the front's ranking name it again, and the heal
+				// sweep refills it. Should another socket have taken
+				// the freed ephemeral port, the run ends as a harness
+				// error, not a violation.
+				ln, err := net.Listen("tcp", strings.TrimPrefix(nodes[0].url, "http://"))
+				if err != nil {
+					return nil, fmt.Errorf("storm: churn restart: %w", err)
 				}
-				names.Set(nn.url, shardName(len(nodes)))
-				// The newcomer joins through a surviving seed, starts
-				// in the joining state, and self-promotes to alive
-				// after its warmup — the window in which the existing
-				// sweepers push replicas at it without it counting
-				// toward anyone's replication factor.
-				if err := boot(len(nodes), append([]string{}, urls[1:]...), stormJoinWarmup, nn); err != nil {
-					return nil, fmt.Errorf("storm: churn join: %w", err)
+				nn := newNode(ln)
+				if err := boot(0, nn); err != nil {
+					return nil, fmt.Errorf("storm: churn restart: %w", err)
 				}
 				if cfg.Plan.Active() {
 					nn.injector.Arm()
 				}
 				injectors = append(injectors, nn.injector)
-				nodes = append(nodes, nn)
-				rep.JoinedShard = nn.url
-				logf("churn: joined fresh shard %s via %s", nn.url, urls[1])
+				nodes[0] = nn
+				logf("churn: restarted %s with an empty store", nn.url)
 			}
 			work <- i % cfg.Keys
 		}
@@ -648,52 +566,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		for _, in := range injectors {
 			in.Disarm()
 		}
-	}
-
-	// --- Membership convergence ----------------------------------------
-	// Before the heal phase's replication asserts can mean anything,
-	// every live view (each shard's and the front observer's) must
-	// agree on the final membership: under kill and churn the victim
-	// confirmed dead and the newcomer alive everywhere; after a fault
-	// storm every falsely suspected or dead member refuted back to
-	// alive. Bounded wait — non-convergence is itself a violation.
-	if cfg.Kill || cfg.Churn || cfg.Plan.Active() {
-		want := func(v cluster.View) bool {
-			for _, n := range nodes {
-				m, ok := v.Member(n.url)
-				if !ok {
-					return false
-				}
-				if n.dead && m.State != cluster.StateDead {
-					return false
-				}
-				if !n.dead && m.State != cluster.StateAlive {
-					return false
-				}
-			}
-			return true
-		}
-		convDeadline := time.Now().Add(stormConverge)
-		rep.MembershipConverged = true
-		checkView := func(name string, cl *cluster.Node) {
-			remain := time.Until(convDeadline)
-			if remain < time.Second {
-				remain = time.Second
-			}
-			if v, ok := cl.WaitConverged(remain, want); !ok {
-				rep.MembershipConverged = false
-				rep.violate("membership-convergence", "%s view stuck at %+v", name, v.Members)
-			}
-		}
-		for i, n := range nodes {
-			if !n.dead {
-				checkView(fmt.Sprintf("shard %d", i), n.cl)
-			}
-		}
-		checkView("front", obs)
-		logf("membership converged=%v", rep.MembershipConverged)
-	} else {
-		rep.MembershipConverged = true
 	}
 
 	// --- Phase C: heal and reconverge ----------------------------------
