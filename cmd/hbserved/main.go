@@ -6,7 +6,6 @@
 //	         [-timeout 10s] [-max-timeout 60s] [-retry-jitter-seed 0]
 //	         [-drain 10s] [-cache-dir DIR] [-scrub]
 //	         [-shard-id ID] [-peers URL,URL,...]
-//	         [-replicas 1] [-antientropy-interval 0]
 //	         [-trace FILE] [-trace-stream FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-chaos-seed 0] [-netchaos-seed 0]
@@ -23,14 +22,13 @@
 // Cluster mode: -peers lists sibling shards' base URLs — on a local
 // cache miss the shard fetches the artifact from the rendezvous-ranked
 // peers before compiling (and verifies the content hash before
-// trusting it). -shard-id tags responses (X-Hbserved-Shard) and
-// /statusz so hbfront's routing decisions are auditable. The peer
-// list is fixed for the life of the process: -replicas R fans writes
-// out to each key's top R peers (and repairs missed replicas on deep
-// reads when R > 1), and -antientropy-interval sweeps local keys onto
-// any of those peers that lacks them. A shard that died is replaced
-// by restarting it at its old address; the sweepers refill it. See
-// DESIGN.md's "Cluster architecture" section.
+// trusting it), and every artifact it stores is written back to the
+// key's top-ranked peer. -shard-id tags responses (X-Hbserved-Shard)
+// and /statusz so hbfront's routing decisions are auditable. The peer
+// list is fixed for the life of the process. A shard that died is
+// replaced by restarting it at its old address; it refills key by key
+// as keys are read through its peers. See DESIGN.md's "Cluster
+// architecture" section.
 //
 // Every response carries a structured error class (ok, invalid-input,
 // degraded, quarantined, timeout, shed, internal); see DESIGN.md's
@@ -78,10 +76,8 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain budget for in-flight requests")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to this directory")
 	shardID := flag.String("shard-id", "", "shard identity tag for responses and /statusz")
-	peers := flag.String("peers", "", "comma-separated sibling shard base URLs to fetch artifacts from")
-	replicas := flag.Int("replicas", 1, "artifact replication factor across peers (writes fan out to the top R, deep read hits repair earlier replicas)")
+	peers := flag.String("peers", "", "comma-separated sibling shard base URLs to fetch artifacts from and write them back to")
 	scrub := flag.Bool("scrub", false, "verify every on-disk artifact at startup, quarantining corrupt entries (needs -cache-dir)")
-	antiEntropy := flag.Duration("antientropy-interval", 0, "background replication-repair sweep interval (0: off; needs -peers)")
 	traceOut := flag.String("trace", "", "write a JSON execution trace to this file on exit")
 	traceStream := flag.String("trace-stream", "", "stream per-job trace events to this file as NDJSON")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -148,27 +144,10 @@ func main() {
 		fail(os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644))
 	}
 
-	var peerTier *store.Peer
 	var backing store.Store = local
 	if urls := splitURLs(*peers); len(urls) > 0 {
-		peerTier = store.NewPeerWith("peers", engine.KeySchema, urls, peerClient, store.PeerOpts{
-			Replicas:  *replicas,
-			OpTimeout: *timeout / 2,
-		})
-		backing = store.NewTiered(localTier, peerTier)
-	}
-
-	// Anti-entropy: the sweeper enumerates the raw local store and
-	// pushes under-replicated keys onto the top-R peers.
-	var sweeper *store.Sweeper
-	if *antiEntropy > 0 && peerTier != nil {
-		lister, ok := local.(store.Lister)
-		if !ok {
-			fail(fmt.Errorf("local store cannot enumerate keys for anti-entropy"))
-		}
-		sweeper = store.NewSweeper(lister, local, peerTier)
-		sweeper.Start(*antiEntropy)
-		fmt.Fprintf(os.Stderr, "hbserved: anti-entropy sweeping every %s at replication factor %d\n", *antiEntropy, *replicas)
+		backing = store.NewTiered(localTier,
+			store.NewPeer("peers", engine.KeySchema, urls, peerClient, *timeout/2))
 	}
 	cache := engine.NewStoreCache(backing)
 	tracer := engine.NewTracer()
@@ -200,7 +179,6 @@ func main() {
 		DrainBudget:     *drain,
 		ShardID:         *shardID,
 		ArtifactStore:   local,
-		Sweeper:         sweeper,
 		InjectedFaults:  faultStats(injector),
 	})
 	fail(err)
@@ -260,9 +238,6 @@ func main() {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = hs.Shutdown(sctx)
 		cancel()
-		if sweeper != nil {
-			sweeper.Stop()
-		}
 		// Drained: no request can reach the cache anymore, so the
 		// store chain (write-back worker included) can close.
 		if cerr := cache.Close(); cerr != nil {

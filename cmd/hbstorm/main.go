@@ -5,13 +5,15 @@
 // asymmetric partitions, 5xx bursts, corrupted artifact payloads,
 // failing disks — and asserts the serving invariants: every request
 // one terminal classed response, no hash-invalid artifact ever
-// served, full reconvergence once faults clear. With -kill it instead
-// kills a shard outright after replication and requires zero lost
-// responses from the survivors. With -churn it kills a shard
-// mid-burst and restarts it with an empty store at the same address,
-// requiring zero lost responses and every key back at full
-// replication after the heal sweep. Every shard and the front route
-// over static lists of the farm's addresses.
+// served, full reconvergence once faults clear (a final pass over
+// every key all cache hits). With -kill it instead kills a shard
+// outright after the warm phase and requires zero lost responses
+// from the survivors. With -churn it kills a shard mid-burst and
+// restarts it with an empty store at the same address, requiring zero
+// lost responses and a final pass of cache hits, which the restarted
+// shard serves by reading through its peers. Every shard and the
+// front route over static lists of the farm's addresses; each shard
+// writes every artifact it stores back to the key's top-ranked peer.
 //
 // Exit status 0 means every schedule held every invariant; 1 means a
 // violation (the structured report on stdout says which, and the
@@ -26,7 +28,7 @@
 //	hbstorm -kill                     # shard-kill scenario
 //	hbstorm -churn -seeds 1,2,3,4     # kill + restart mid-burst, per seed
 //	hbstorm -seeds 1 -profile bursty  # bursty traffic under faults
-//	hbstorm -seeds 7 -shards 5 -replicas 3 -requests 200 -v
+//	hbstorm -seeds 7 -shards 5 -requests 200 -v
 package main
 
 import (
@@ -47,13 +49,12 @@ import (
 func main() {
 	var (
 		shards   = flag.Int("shards", 3, "in-process farm size")
-		replicas = flag.Int("replicas", 2, "artifact replication factor R (clamped to shards-1)")
 		seeds    = flag.String("seeds", "1", "comma-separated netchaos seeds; each runs one full storm")
 		keys     = flag.Int("keys", 6, "distinct job keys in the traffic mix")
 		requests = flag.Int("requests", 48, "requests during each fault window")
 		workers  = flag.Int("workers", 8, "concurrent storm clients")
-		kill     = flag.Bool("kill", false, "kill shard 0 after replication instead of arming a fault schedule (zero-loss required)")
-		churn    = flag.Bool("churn", false, "kill a shard mid-burst and restart it empty at its address (zero-loss and full re-replication required)")
+		kill     = flag.Bool("kill", false, "kill shard 0 after the warm phase instead of arming a fault schedule (zero-loss required)")
+		churn    = flag.Bool("churn", false, "kill a shard mid-burst and restart it empty at its address (zero-loss and a final pass of cache hits required)")
 		profile  = flag.String("profile", "", "shape storm traffic with this load profile (steady|bursty|diurnal|adversarial|hotkey; empty: uniform blast)")
 		span     = flag.Duration("span", 2*time.Second, "wall clock the profile schedule is compressed into (with -profile)")
 		timeout  = flag.Duration("timeout", 8*time.Second, "per-request deadline")
@@ -102,7 +103,6 @@ func main() {
 	for _, seed := range seedList {
 		cfg := storm.Config{
 			Shards:         *shards,
-			Replicas:       *replicas,
 			Keys:           *keys,
 			Requests:       *requests,
 			Workers:        *workers,

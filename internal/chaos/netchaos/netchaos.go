@@ -66,32 +66,21 @@ type Plan struct {
 	DiskWriteErrRate int `json:"disk_write_err_rate,omitempty"`
 	// DiskReadErrRate fails local store reads with an I/O error.
 	DiskReadErrRate int `json:"disk_read_err_rate,omitempty"`
-	// PartitionPairs severs explicit directed "from->to" paths for
-	// the whole armed window, independent of PartitionRate's hashed
-	// decisions. Hosts may be named by URL, host:port, or the name an
-	// injector's Names gives them. This is how
-	// a scenario scripts an exact asymmetric partition (e.g. A loses
-	// its path to C while C still reaches A, and both reach B).
-	PartitionPairs []string `json:"partition_pairs,omitempty"`
 }
 
 // Active reports whether the plan can inject anything at all.
 func (p Plan) Active() bool {
 	return p.LatencyRate > 0 || p.DropRate > 0 || p.HangRate > 0 ||
-		p.PartitionRate > 0 || len(p.PartitionPairs) > 0 || p.Err5xxRate > 0 ||
+		p.PartitionRate > 0 || p.Err5xxRate > 0 ||
 		p.TruncateRate > 0 || p.BitFlipRate > 0 || p.DiskWriteErrRate > 0 ||
 		p.DiskReadErrRate > 0
 }
 
 // Name renders the plan compactly for reports and logs.
 func (p Plan) Name() string {
-	pairs := ""
-	if len(p.PartitionPairs) > 0 {
-		pairs = " pairs=" + strings.Join(p.PartitionPairs, ",")
-	}
-	return fmt.Sprintf("netplan(seed=%d lat=%d/%dms drop=%d hang=%d part=%d%s 5xx=%d trunc=%d flip=%d dw=%d dr=%d)",
+	return fmt.Sprintf("netplan(seed=%d lat=%d/%dms drop=%d hang=%d part=%d 5xx=%d trunc=%d flip=%d dw=%d dr=%d)",
 		p.Seed, p.LatencyRate, p.MaxLatencyMS, p.DropRate, p.HangRate,
-		p.PartitionRate, pairs, p.Err5xxRate, p.TruncateRate, p.BitFlipRate,
+		p.PartitionRate, p.Err5xxRate, p.TruncateRate, p.BitFlipRate,
 		p.DiskWriteErrRate, p.DiskReadErrRate)
 }
 
@@ -125,16 +114,8 @@ func hit(h uint64, rate int) bool {
 
 // Partitioned reports whether the directed from→to path is severed
 // under this plan for the whole armed window. Exported so a driver can
-// predict (and report) the partition matrix for a seed. Explicit
-// PartitionPairs are checked first, then PartitionRate's hash.
+// predict (and report) the partition matrix for a seed.
 func (p Plan) Partitioned(from, to string) bool {
-	for _, pair := range p.PartitionPairs {
-		f, t, ok := strings.Cut(pair, "->")
-		if ok && trimHost(strings.TrimSpace(f)) == trimHost(from) &&
-			trimHost(strings.TrimSpace(t)) == trimHost(to) {
-			return true
-		}
-	}
 	return hit(p.roll(saltPartition, from+"\x00"+to, 0), p.PartitionRate)
 }
 

@@ -57,12 +57,3 @@ func (f *faultyStore) Stat(ctx context.Context) (store.Stats, error) {
 }
 
 func (f *faultyStore) Close() error { return f.inner.Close() }
-
-// Keys forwards key listing when the wrapped store supports it, so a
-// faulty local tier still feeds the anti-entropy sweeper.
-func (f *faultyStore) Keys(ctx context.Context) ([]string, error) {
-	if l, ok := f.inner.(store.Lister); ok {
-		return l.Keys(ctx)
-	}
-	return nil, fmt.Errorf("netchaos: wrapped store does not list keys")
-}

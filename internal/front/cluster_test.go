@@ -73,7 +73,7 @@ func newCluster(t *testing.T, n int) []*clusterShard {
 			}
 		}
 		backing := store.NewTiered(sh.local,
-			store.NewPeer("peers", engine.KeySchema, peerURLs, nil))
+			store.NewPeer("peers", engine.KeySchema, peerURLs, nil, 0))
 		sh.cache = engine.NewStoreCache(backing)
 		sh.eng = engine.New(engine.Config{Workers: 4, Cache: sh.cache})
 		srv, err := server.New(server.Config{
@@ -119,7 +119,7 @@ func newReadThroughPair(t *testing.T) []*clusterShard {
 		var backing store.Store = sh.local
 		if i == 1 {
 			backing = store.NewTiered(sh.local,
-				store.NewPeer("peers", engine.KeySchema, []string{shards[0].url}, nil))
+				store.NewPeer("peers", engine.KeySchema, []string{shards[0].url}, nil, 0))
 		}
 		sh.cache = engine.NewStoreCache(backing)
 		sh.eng = engine.New(engine.Config{Workers: 4, Cache: sh.cache})

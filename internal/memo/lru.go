@@ -60,17 +60,6 @@ func (c *LRU[T]) Put(key string, val T) {
 	}
 }
 
-// Keys lists the keys held, most recently used first.
-func (c *LRU[T]) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.items))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*lruItem[T]).key)
-	}
-	return keys
-}
-
 // Len returns the number of entries held.
 func (c *LRU[T]) Len() int {
 	c.mu.Lock()

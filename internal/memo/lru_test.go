@@ -2,7 +2,6 @@ package memo
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 )
 
@@ -28,9 +27,5 @@ func TestLRU(t *testing.T) {
 	c.Put("0", 7) // an update keeps one entry
 	if v, _ := c.Get("0"); v != 7 || c.Len() != limit || c.order.Len() != limit {
 		t.Errorf("after update: Get(0) = %d, %d entries (%d ordered), want 7 and %d", v, c.Len(), c.order.Len(), limit)
-	}
-	keys := c.Keys()
-	if len(keys) != limit || keys[0] != "0" || keys[1] != "new" || slices.Contains(keys, "1") {
-		t.Errorf("Keys() = %v, want %d keys, most recently used (0, new) first, 1 evicted", keys, limit)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -31,25 +30,15 @@ const goldenRetryAfter = `[1139134323 1022200121 1062458758 1230124769 122152200
 
 // TestStatuszFieldsInUse pins the /statusz paths that CI's smoke steps
 // grep and bench/ decodes. A live snapshot of a shard with a peer
-// tier and a sweeper that has run must render every one of them.
+// tier must render every one of them.
 func TestStatuszFieldsInUse(t *testing.T) {
-	ctx := context.Background()
 	const dead = "http://127.0.0.1:1"
-	local := store.NewMem()
-	peer := store.NewPeer("peers", engine.KeySchema, []string{dead}, nil)
-	if err := local.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	sweeper := store.NewSweeper(local, local, peer)
-	if _, err := sweeper.SweepOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	cache := engine.NewStoreCache(store.NewTiered(local, peer))
+	peer := store.NewPeer("peers", engine.KeySchema, []string{dead}, nil, 0)
+	cache := engine.NewStoreCache(store.NewTiered(store.NewMem(), peer))
 	defer cache.Close()
 	s, err := New(Config{
 		Engine:  engine.New(engine.Config{Workers: 1, Cache: cache}),
 		Workers: 1,
-		Sweeper: sweeper,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +55,6 @@ func TestStatuszFieldsInUse(t *testing.T) {
 	}
 	for _, path := range []string{
 		"flights.flights",
-		"anti_entropy.sweeps",
-		"anti_entropy.pushes",
 		"program.hits",
 		"program.misses",
 		"program.entries",

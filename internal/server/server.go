@@ -72,10 +72,6 @@ type Config struct {
 	// (disk or memory), never the read-through tier chain — serving
 	// the chain would recurse a peer's request back out to peers.
 	ArtifactStore store.Store
-	// Sweeper, when non-nil, is the node's anti-entropy repair loop;
-	// the server only surfaces its stats in /statusz (the caller owns
-	// Start/Stop).
-	Sweeper *store.Sweeper
 	// InjectedFaults, when non-nil, is polled by /statusz for the
 	// node's fault-injection counters (netchaos.Stats under storm
 	// testing; absent in production).
@@ -690,12 +686,9 @@ type Status struct {
 	// replayed compiles.
 	Program  engine.ProgramStats  `json:"program"`
 	Skeleton engine.SkeletonStats `json:"skeleton"`
-	// AntiEntropy snapshots the replication sweeper (replication-factor
-	// histogram, repair pushes); InjectedFaults carries the netchaos
-	// counters when a fault injector is attached. Both omitted when
-	// absent.
-	AntiEntropy    *store.SweepStats `json:"anti_entropy,omitempty"`
-	InjectedFaults any               `json:"injected_faults,omitempty"`
+	// InjectedFaults carries the netchaos counters when a fault
+	// injector is attached (omitted when absent).
+	InjectedFaults any `json:"injected_faults,omitempty"`
 }
 
 // StatusSnapshot assembles the current Status (also used by tests,
@@ -728,10 +721,6 @@ func (s *Server) StatusSnapshot() Status {
 	}
 	for c, n := range s.counts {
 		st.Classes[c] = n.Load()
-	}
-	if s.cfg.Sweeper != nil {
-		sw := s.cfg.Sweeper.Stats()
-		st.AntiEntropy = &sw
 	}
 	if s.cfg.InjectedFaults != nil {
 		st.InjectedFaults = s.cfg.InjectedFaults()

@@ -13,7 +13,6 @@ type counters struct {
 	integrityRej, schemaRej  atomic.Int64
 	corrupt                  atomic.Int64
 	promotes, wbDrops        atomic.Int64
-	readRepairs              atomic.Int64
 	quarantined, tmpSwept    atomic.Int64
 }
 
@@ -31,7 +30,6 @@ func (c *counters) snapshot(name string) Stats {
 		Corrupt:          c.corrupt.Load(),
 		Promotes:         c.promotes.Load(),
 		WritebackDrops:   c.wbDrops.Load(),
-		ReadRepairs:      c.readRepairs.Load(),
 		ScrubQuarantined: c.quarantined.Load(),
 		TmpSwept:         c.tmpSwept.Load(),
 	}

@@ -129,28 +129,6 @@ func (d *Disk) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// Keys lists the keys currently stored (valid-looking filenames only;
-// quarantined entries excluded). Implements Lister for the
-// anti-entropy sweeper.
-func (d *Disk) Keys(ctx context.Context) ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		d.errs.Add(1)
-		return nil, err
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		if key := strings.TrimSuffix(name, ".json"); ValidKey(key) {
-			keys = append(keys, key)
-		}
-	}
-	return keys, nil
-}
-
 // Get reads and verifies the entry. Missing files, unreadable files,
 // truncated or garbage envelopes, wrong-schema entries, and sum
 // mismatches are all misses.

@@ -52,7 +52,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	switch r.Method {
-	case http.MethodGet, http.MethodHead:
+	case http.MethodGet:
 		payload, ok, _ := h.local.Get(r.Context(), key)
 		if !ok {
 			http.Error(w, "store: artifact not found", http.StatusNotFound)
@@ -66,9 +66,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(SchemaHeader, strconv.Itoa(h.schema))
 		w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-		if r.Method == http.MethodHead {
-			return
-		}
 		w.Write(raw)
 	case http.MethodPut:
 		raw, err := io.ReadAll(io.LimitReader(r.Body, maxArtifactBytes+1))
@@ -95,7 +92,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		w.Header().Set("Allow", "GET, HEAD, PUT")
-		http.Error(w, "store: GET, HEAD or PUT only", http.StatusMethodNotAllowed)
+		w.Header().Set("Allow", "GET, PUT")
+		http.Error(w, "store: GET or PUT only", http.StatusMethodNotAllowed)
 	}
 }

@@ -48,12 +48,6 @@ func (s *Mem) Put(ctx context.Context, key string, payload []byte) error {
 	return nil
 }
 
-// Keys lists the stored keys. Implements Lister for the anti-entropy
-// sweeper.
-func (s *Mem) Keys(ctx context.Context) ([]string, error) {
-	return s.lru.Keys(), nil
-}
-
 // Len reports the number of stored entries.
 func (s *Mem) Len() int { return s.lru.Len() }
 

@@ -39,8 +39,7 @@ func TestPeerGetWalkHangBounded(t *testing.T) {
 	client := &http.Client{Transport: inj.Transport(nil)}
 
 	t.Run("op-timeout", func(t *testing.T) {
-		p := store.NewPeerWith("hang", 3, bases, client,
-			store.PeerOpts{Replicas: 2, OpTimeout: 100 * time.Millisecond})
+		p := store.NewPeer("hang", 3, bases, client, 100*time.Millisecond)
 		start := time.Now()
 		_, ok, _ := p.Get(context.Background(), k)
 		elapsed := time.Since(start)
@@ -60,8 +59,7 @@ func TestPeerGetWalkHangBounded(t *testing.T) {
 		// No per-op timeout: only the caller's deadline bounds the
 		// walk, and it must — the first hung peer eats the rest of the
 		// budget and the walk stops rather than probing on.
-		p := store.NewPeerWith("hang", 3, bases, client,
-			store.PeerOpts{Replicas: 2})
+		p := store.NewPeer("hang", 3, bases, client, 0)
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		defer cancel()
 		start := time.Now()

@@ -43,96 +43,88 @@ func byBase(nodes []*node) map[string]*node {
 	return m
 }
 
-// TestPeerReplicatedPut: with Replicas=2, a Put must land on exactly
-// the key's top-2 rendezvous peers and nowhere else.
+// TestPeerReplicatedPut: a Put lands on exactly the key's top-ranked
+// peer and nowhere else. For a key that the writing shard ranks first,
+// that peer is the key's next global rank, the shard the front fails
+// over to: removing one node from a rendezvous order leaves the
+// others' order unchanged (TestRank), so ranking the peers alone
+// picks the same shard.
 func TestPeerReplicatedPut(t *testing.T) {
 	ctx := context.Background()
 	nodes, bases := newNodes(t, 3, 3)
 	idx := byBase(nodes)
-	p := NewPeerWith("repl", 3, bases, nil, PeerOpts{Replicas: 2})
+	const self = "http://self.invalid:1"
+	all := append([]string{self}, bases...)
+	p := NewPeer("repl", 3, bases, nil, 0)
 
-	k := key(1)
-	payload := []byte(`{"cycles":42}`)
-	if err := p.Put(ctx, k, payload); err != nil {
-		t.Fatal(err)
-	}
-	ranked := Rank(k, bases)
-	for i, base := range ranked {
-		_, ok, _ := idx[base].mem.Get(ctx, k)
-		if want := i < 2; ok != want {
-			t.Errorf("replica rank %d (%s): has=%v want %v", i, base, ok, want)
+	const n = 16
+	primaries := 0
+	for i := range n {
+		k := key(i)
+		payload := []byte(fmt.Sprintf(`{"cycles":%d}`, i))
+		if err := p.Put(ctx, k, payload); err != nil {
+			t.Fatal(err)
+		}
+		global := Rank(k, all)
+		want := global[0]
+		if want == self {
+			primaries++
+			want = global[1]
+		}
+		for _, base := range bases {
+			if _, ok, _ := idx[base].mem.Get(ctx, k); ok != (base == want) {
+				t.Errorf("key %s on %s: has=%v, want %v (global order %v)", k[:8], base, ok, base == want, global)
+			}
+		}
+		if got, ok, err := p.Get(ctx, k); !ok || err != nil || string(got) != string(payload) {
+			t.Fatalf("roundtrip: ok=%v err=%v got=%q", ok, err, got)
 		}
 	}
-	if got, ok, err := p.Get(ctx, k); !ok || err != nil || string(got) != string(payload) {
-		t.Fatalf("replicated roundtrip: ok=%v err=%v got=%q", ok, err, got)
+	if primaries == 0 {
+		t.Fatalf("the writing shard ranks first for none of %d keys", n)
+	}
+	if st, _ := p.Stat(ctx); st.Puts != n {
+		t.Fatalf("Puts = %d, want %d", st.Puts, n)
 	}
 }
 
-// TestPeerPutSurvivesReplicaDown: killing one of the two replica
-// targets must not fail the write — the surviving copy lands and
-// serves reads.
-func TestPeerPutSurvivesReplicaDown(t *testing.T) {
+// TestTieredCloseBoundedByHungPeer: Close gives the whole write-back
+// flush one writebackTimeout. Against a peer that takes each PUT and
+// never answers, with 3 writes queued, Close returns within that
+// budget instead of one timeout per write, and drops what it did not
+// send.
+func TestTieredCloseBoundedByHungPeer(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer hung.Close()
+	defer close(release) // LIFO: unblock handlers before Close waits on them
+
+	// Wired as hbserved wires it at its default -timeout: the default
+	// client and an op timeout of 5 s.
+	tiered := NewTiered(NewMem(), NewPeer("peers", 3, []string{hung.URL}, nil, 5*time.Second))
 	ctx := context.Background()
-	nodes, bases := newNodes(t, 3, 3)
-	idx := byBase(nodes)
-	p := NewPeerWith("repl", 3, bases, nil, PeerOpts{Replicas: 2})
-
-	k := key(2)
-	ranked := Rank(k, bases)
-	idx[ranked[0]].srv.CloseClientConnections()
-	idx[ranked[0]].srv.Close()
-
-	payload := []byte(`{"cycles":7}`)
-	if err := p.Put(ctx, k, payload); err != nil {
-		t.Fatalf("put with one replica down: %v", err)
+	for i := range 3 {
+		if err := tiered.Put(ctx, key(30+i), []byte(`{"cycles":1}`)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok, _ := idx[ranked[1]].mem.Get(ctx, k); !ok {
-		t.Fatal("surviving replica did not receive the copy")
-	}
-	if got, ok, err := p.Get(ctx, k); !ok || err != nil || string(got) != string(payload) {
-		t.Fatalf("read with one replica down: ok=%v err=%v got=%q", ok, err, got)
-	}
-}
-
-// TestPeerReadRepair: a hit found on the rank-1 replica while rank-0
-// missed must be pushed back onto rank-0 and counted.
-func TestPeerReadRepair(t *testing.T) {
-	ctx := context.Background()
-	nodes, bases := newNodes(t, 3, 3)
-	idx := byBase(nodes)
-	p := NewPeerWith("rr", 3, bases, nil, PeerOpts{Replicas: 2})
-
-	k := key(3)
-	payload := []byte(`{"cycles":11}`)
-	ranked := Rank(k, bases)
-	// Seed only the second-ranked replica, as if rank-0 lost its disk.
-	if err := idx[ranked[1]].mem.Put(ctx, k, payload); err != nil {
+	start := time.Now()
+	if err := tiered.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	got, ok, err := p.Get(ctx, k)
-	if !ok || err != nil || string(got) != string(payload) {
-		t.Fatalf("deep read: ok=%v err=%v got=%q", ok, err, got)
+	if d, limit := time.Since(start), writebackTimeout+time.Second; d > limit {
+		t.Fatalf("Close took %v against a hung peer, want at most %v", d, limit)
 	}
-	if _, ok, _ := idx[ranked[0]].mem.Get(ctx, k); !ok {
-		t.Fatal("read-repair did not heal the rank-0 replica")
-	}
-	st, _ := p.Stat(ctx)
-	if st.ReadRepairs != 1 {
-		t.Fatalf("ReadRepairs = %d, want 1 (%+v)", st.ReadRepairs, st)
-	}
-
-	// At R=1 there is no replica to repair: the same topology must
-	// leave rank-0 alone.
-	k2 := key(4)
-	ranked2 := Rank(k2, bases)
-	idx[ranked2[1]].mem.Put(ctx, k2, payload)
-	p2 := NewPeerWith("no-rr", 3, bases, nil, PeerOpts{Replicas: 1})
-	if _, ok, _ := p2.Get(ctx, k2); !ok {
-		t.Fatal("deep read without repair missed")
-	}
-	if _, ok, _ := idx[ranked2[0]].mem.Get(ctx, k2); ok {
-		t.Fatal("repair ran at replication factor 1")
+	st, _ := tiered.Stat(ctx)
+	if st.WritebackDrops == 0 || st.Errors+st.WritebackDrops != 3 {
+		t.Fatalf("3 queued writes: %d failed, %d dropped; want every one failed or dropped, at least one dropped",
+			st.Errors, st.WritebackDrops)
 	}
 }
 
@@ -163,8 +155,7 @@ func TestPeerOpTimeout(t *testing.T) {
 	// Order the hung peer first regardless of rendezvous by listing it
 	// alone ahead of the good one... Rank permutes, so instead force
 	// the scenario both ways and require the bounded outcome.
-	p := NewPeerWith("op", 3, []string{hungSrv.URL, goodSrv.URL}, nil,
-		PeerOpts{Replicas: 2, OpTimeout: 100 * time.Millisecond})
+	p := NewPeer("op", 3, []string{hungSrv.URL, goodSrv.URL}, nil, 100*time.Millisecond)
 	start := time.Now()
 	got, ok, err := p.Get(ctx, k)
 	if !ok || err != nil || string(got) != string(payload) {
@@ -176,7 +167,7 @@ func TestPeerOpTimeout(t *testing.T) {
 }
 
 // TestPeerCtxCancel: canceling the caller's context mid-transfer must
-// return promptly from Get, Put, and HasAt instead of waiting out the
+// return promptly from Get and Put instead of waiting out the
 // op timeout, and Get must not go on probing further peers.
 func TestPeerCtxCancel(t *testing.T) {
 	hits := make(chan struct{}, 16)
@@ -199,8 +190,7 @@ func TestPeerCtxCancel(t *testing.T) {
 	defer blockSrv2.Close()
 	defer close(release) // LIFO: unblock handlers before Close waits on them
 
-	p := NewPeerWith("cancel", 3, []string{blockSrv.URL, blockSrv2.URL}, nil,
-		PeerOpts{Replicas: 2, OpTimeout: 30 * time.Second})
+	p := NewPeer("cancel", 3, []string{blockSrv.URL, blockSrv2.URL}, nil, 30*time.Second)
 	k := key(6)
 
 	run := func(name string, op func(ctx context.Context) error) {
@@ -244,10 +234,6 @@ func TestPeerCtxCancel(t *testing.T) {
 	})
 	run("put", func(ctx context.Context) error {
 		return p.Put(ctx, k, []byte(`{"cycles":1}`))
-	})
-	run("hasat", func(ctx context.Context) error {
-		_, err := p.HasAt(ctx, blockSrv.URL, k)
-		return err
 	})
 }
 
@@ -334,16 +320,6 @@ func TestDiskScrub(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, alien+".json")); err != nil {
 		t.Fatal("scrub destroyed another schema's entry")
 	}
-
-	keys, err := d.Keys(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if k == torn || k == tampered {
-			t.Errorf("Keys lists quarantined entry %s", k[:8])
-		}
-	}
 	st, _ := d.Stat(ctx)
 	if st.ScrubQuarantined != 2 {
 		t.Fatalf("ScrubQuarantined = %d, want 2", st.ScrubQuarantined)
@@ -359,57 +335,52 @@ func TestDiskScrub(t *testing.T) {
 	}
 }
 
-// TestSweeper: one anti-entropy pass pushes every local key to its
-// top-R peers; the next pass finds full replication and pushes
-// nothing. A peer restarted in place with an empty store is refilled
-// by one more pass: exactly the keys that rank it in their top R.
-func TestSweeper(t *testing.T) {
+// TestRestartedPeerRefillsOnRead: a shard restarted empty at its
+// address refills by reading through its peers. Keys written through
+// node A's tiers land on A and on each key's top-ranked other node;
+// node B, which held half of those copies, restarts empty, and reading
+// every key through B's tiers hits through its peers and promotes the
+// key into B's new local store.
+func TestRestartedPeerRefillsOnRead(t *testing.T) {
 	ctx := context.Background()
 	nodes, bases := newNodes(t, 3, 3)
-	local := NewMem()
-	payloads := map[string][]byte{}
-	for i := 20; i < 25; i++ {
-		k := key(i)
-		payloads[k] = []byte(fmt.Sprintf(`{"cycles":%d}`, i))
-		local.Put(ctx, k, payloads[k])
-	}
-
-	p := NewPeerWith("sweep", 3, bases, nil, PeerOpts{Replicas: 2})
-	s := NewSweeper(local, local, p)
-	pushed, err := s.SweepOnce(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pushed != 2*len(payloads) {
-		t.Fatalf("first sweep pushed %d, want %d", pushed, 2*len(payloads))
-	}
-	idx := byBase(nodes)
-	for k, want := range payloads {
-		for _, base := range Rank(k, bases)[:2] {
-			got, ok, _ := idx[base].mem.Get(ctx, k)
-			if !ok || string(got) != string(want) {
-				t.Fatalf("key %s not replicated to %s", k[:8], base)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	peersOf := func(self string) []string {
+		var out []string
+		for _, base := range bases {
+			if base != self {
+				out = append(out, base)
 			}
 		}
+		return out
 	}
 
-	pushed, err = s.SweepOnce(ctx)
-	if err != nil || pushed != 0 {
-		t.Fatalf("second sweep: pushed=%d err=%v, want 0/nil", pushed, err)
+	// Four keys whose write-back goes to B and four to C.
+	payloads := map[string][]byte{}
+	perHolder := map[string]int{}
+	for i := 0; len(payloads) < 8; i++ {
+		k := key(100 + i)
+		if top := Rank(k, peersOf(a.srv.URL))[0]; perHolder[top] < 4 {
+			perHolder[top]++
+			payloads[k] = []byte(fmt.Sprintf(`{"cycles":%d}`, i))
+		}
 	}
-	st := s.Stats()
-	if st.Sweeps != 2 || st.Pushes != int64(2*len(payloads)) || st.Keys != len(payloads) {
-		t.Fatalf("sweeper stats: %+v", st)
+	writer := NewTiered(a.mem, NewPeer("peers", 3, peersOf(a.srv.URL), nil, 0))
+	for k, payload := range payloads {
+		if err := writer.Put(ctx, k, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.Replication["2"] != int64(len(payloads)) {
-		t.Fatalf("replication histogram: %+v, want all keys in bucket 2", st.Replication)
+	if err := writer.Close(); err != nil { // flushes the write-back
+		t.Fatal(err)
+	}
+	if b.mem.Len() != 4 || c.mem.Len() != 4 {
+		t.Fatalf("write-back placed %d copies on B and %d on C, want 4 and 4", b.mem.Len(), c.mem.Len())
 	}
 
-	// Restart the first-ranked replica of key(20) at its URL with an
-	// empty store.
-	victim := Rank(key(20), bases)[0]
-	idx[victim].srv.Close()
-	ln, err := net.Listen("tcp", strings.TrimPrefix(victim, "http://"))
+	// Restart B at its URL with an empty store.
+	b.srv.Close()
+	ln, err := net.Listen("tcp", strings.TrimPrefix(b.srv.URL, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,26 +388,19 @@ func TestSweeper(t *testing.T) {
 	srv := &httptest.Server{Listener: ln, Config: &http.Server{Handler: NewHandler(fresh, 3)}}
 	srv.Start()
 	t.Cleanup(srv.Close)
-	want := map[string]bool{}
-	for k := range payloads {
-		for _, base := range Rank(k, bases)[:2] {
-			if base == victim {
-				want[k] = true
-			}
-		}
-	}
 
-	pushed, err = s.SweepOnce(ctx)
-	if err != nil || pushed != len(want) {
-		t.Fatalf("refill sweep: pushed=%d err=%v, want %d/nil", pushed, err, len(want))
-	}
-	for k := range payloads {
-		got, ok, _ := fresh.Get(ctx, k)
-		if ok != want[k] || (ok && string(got) != string(payloads[k])) {
-			t.Fatalf("key %s on the restarted replica: has=%v, want %v", k[:8], ok, want[k])
+	reader := NewTiered(fresh, NewPeer("peers", 3, peersOf(b.srv.URL), nil, 0))
+	defer reader.Close()
+	for k, want := range payloads {
+		if got, ok, err := reader.Get(ctx, k); !ok || err != nil || string(got) != string(want) {
+			t.Fatalf("key %s through the restarted node: ok=%v err=%v got=%q", k[:8], ok, err, got)
+		}
+		if got, ok, _ := fresh.Get(ctx, k); !ok || string(got) != string(want) {
+			t.Fatalf("key %s was not promoted into the restarted node's store", k[:8])
 		}
 	}
-	if st := s.Stats(); st.Replication["2"] != int64(len(payloads)) || len(st.Replication) != 1 {
-		t.Fatalf("replication histogram after refill: %+v, want all keys in bucket 2", st.Replication)
+	st, _ := reader.Stat(ctx)
+	if n := int64(len(payloads)); st.Promotes != n || st.Tiers[1].Hits != n {
+		t.Fatalf("promotes = %d, peer hits = %d; want %d each", st.Promotes, st.Tiers[1].Hits, n)
 	}
 }

@@ -44,14 +44,6 @@ type Store interface {
 	Close() error
 }
 
-// Lister is implemented by stores that can enumerate their keys (the
-// local tiers: Disk and Mem). The anti-entropy sweeper walks a
-// Lister to find under-replicated entries.
-type Lister interface {
-	// Keys returns the store's current key set (order unspecified).
-	Keys(ctx context.Context) ([]string, error)
-}
-
 // Stats is the common counter surface. Not every implementation uses
 // every field; Tiers carries per-tier breakdowns for combinators.
 type Stats struct {
@@ -76,15 +68,13 @@ type Stats struct {
 	Corrupt          int64 `json:"corrupt,omitempty"`
 	// Promotes counts write-backs of deeper-tier hits into faster
 	// tiers; WritebackDrops counts deferred writes dropped because the
-	// write-back queue was full (tiered store only).
+	// write-back queue was full or Close's flush ran out of time
+	// (tiered store only).
 	Promotes       int64 `json:"promotes,omitempty"`
 	WritebackDrops int64 `json:"writeback_drops,omitempty"`
-	// ReadRepairs counts artifacts pushed back onto earlier-ranked
-	// replicas that missed while a later replica hit (peer store
-	// only); ScrubQuarantined counts entries the startup scrub moved
-	// to the quarantine directory, and TmpSwept counts orphaned
-	// temp files removed at open (disk store only).
-	ReadRepairs      int64 `json:"read_repairs,omitempty"`
+	// ScrubQuarantined counts entries the startup scrub moved to the
+	// quarantine directory, and TmpSwept counts orphaned temp files
+	// removed at open (disk store only).
 	ScrubQuarantined int64 `json:"scrub_quarantined,omitempty"`
 	TmpSwept         int64 `json:"tmp_swept,omitempty"`
 	// Tiers is the per-tier breakdown (tiered store only).

@@ -226,7 +226,7 @@ func TestMemStore(t *testing.T) {
 }
 
 // TestMemStoreIsBounded: the in-process store keeps its memLimit most
-// recently used entries, and the sweeper's key list shrinks with it.
+// recently used entries.
 func TestMemStoreIsBounded(t *testing.T) {
 	m := NewMem()
 	ctx := context.Background()
@@ -236,9 +236,8 @@ func TestMemStoreIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys, _ := m.Keys(ctx)
-	if m.Len() != memLimit || len(keys) != memLimit {
-		t.Fatalf("after %d distinct puts: Len = %d, %d keys; want %d", memLimit+extra, m.Len(), len(keys), memLimit)
+	if m.Len() != memLimit {
+		t.Fatalf("after %d distinct puts: Len = %d, want %d", memLimit+extra, m.Len(), memLimit)
 	}
 	if _, ok, _ := m.Get(ctx, key(extra-1)); ok {
 		t.Error("an entry past the bound survived")
@@ -304,7 +303,7 @@ func TestPeerStore(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(local, 3))
 	defer srv.Close()
 
-	p := NewPeer("test", 3, []string{srv.URL + "/"}, srv.Client())
+	p := NewPeer("test", 3, []string{srv.URL + "/"}, srv.Client(), 0)
 	k := key(1)
 	payload := []byte(`{"cycles":42}`)
 
@@ -324,7 +323,7 @@ func TestPeerStore(t *testing.T) {
 
 	// Schema negotiation: a client on a different schema gets nothing
 	// in either direction.
-	p2 := NewPeer("mixed", 4, []string{srv.URL}, srv.Client())
+	p2 := NewPeer("mixed", 4, []string{srv.URL}, srv.Client(), 0)
 	if _, ok, _ := p2.Get(ctx, k); ok {
 		t.Fatal("cross-schema Get succeeded; must be refused")
 	}
@@ -344,7 +343,7 @@ func TestPeerStore(t *testing.T) {
 		w.Write([]byte(strings.Replace(string(raw), `"cycles":42`, `"cycles":99`, 1)))
 	}))
 	defer evil.Close()
-	pe := NewPeer("evil", 3, []string{evil.URL}, evil.Client())
+	pe := NewPeer("evil", 3, []string{evil.URL}, evil.Client(), 0)
 	if _, ok, _ := pe.Get(ctx, k); ok {
 		t.Fatal("tampered artifact accepted")
 	}
@@ -403,5 +402,15 @@ func TestHandlerRejects(t *testing.T) {
 	}
 	if local.Len() != 0 {
 		t.Fatalf("rejected PUTs reached the store: %d entries", local.Len())
+	}
+
+	req, _ := http.NewRequest(http.MethodHead, srv.URL+"/artifact/"+k, nil)
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, PUT" {
+		t.Errorf("HEAD: %d, Allow %q; want 405, GET, PUT", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }

@@ -12,7 +12,8 @@ import (
 const writebackQueue = 256
 
 // writebackTimeout bounds one deferred write so a dead peer cannot
-// wedge the write-back worker.
+// wedge the write-back worker, and bounds Close's whole flush: a hung
+// peer costs a draining node one timeout, not one per queued write.
 const writebackTimeout = 5 * time.Second
 
 // wbItem is one deferred write: the payload for key going to tier
@@ -32,12 +33,17 @@ type wbItem struct {
 //   - Put writes the first (local) tier synchronously — the node's own
 //     durability — and enqueues deferred best-effort writes to every
 //     deeper tier on a single write-back worker.
-//   - Close flushes the write-back queue, then closes every tier.
+//   - Close flushes the write-back queue within writebackTimeout,
+//     then closes every tier.
 type Tiered struct {
 	tiers []Store
 	wb    chan wbItem
 	done  chan struct{}
 	once  sync.Once
+	// flush is the context every deferred write derives from; Close
+	// cancels it through abort once the flush has run out of time.
+	flush context.Context
+	abort context.CancelFunc
 	counters
 }
 
@@ -50,15 +56,21 @@ func NewTiered(tiers ...Store) *Tiered {
 		wb:    make(chan wbItem, writebackQueue),
 		done:  make(chan struct{}),
 	}
+	t.flush, t.abort = context.WithCancel(context.Background())
 	go t.writeback()
 	return t
 }
 
-// writeback drains the deferred-write queue.
+// writeback drains the deferred-write queue. Once Close has aborted
+// the flush, what is still queued is dropped and counted.
 func (t *Tiered) writeback() {
 	defer close(t.done)
 	for it := range t.wb {
-		ctx, cancel := context.WithTimeout(context.Background(), writebackTimeout)
+		if t.flush.Err() != nil {
+			t.wbDrops.Add(1)
+			continue
+		}
+		ctx, cancel := context.WithTimeout(t.flush, writebackTimeout)
 		if err := t.tiers[it.tier].Put(ctx, it.key, it.payload); err != nil {
 			t.errs.Add(1)
 		}
@@ -126,13 +138,16 @@ func (t *Tiered) Stat(ctx context.Context) (Stats, error) {
 	return st, nil
 }
 
-// Close flushes deferred writes and closes the tiers. Safe to call
-// more than once.
+// Close flushes deferred writes, giving the whole flush one
+// writebackTimeout, and closes the tiers. Safe to call more than once.
 func (t *Tiered) Close() error {
 	var first error
 	t.once.Do(func() {
 		close(t.wb)
+		timer := time.AfterFunc(writebackTimeout, t.abort)
 		<-t.done
+		timer.Stop()
+		t.abort()
 		for _, tier := range t.tiers {
 			if err := tier.Close(); err != nil && first == nil {
 				first = err

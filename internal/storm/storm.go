@@ -1,6 +1,6 @@
 // Package storm is the cluster fault-injection driver behind
 // cmd/hbstorm: it boots an in-process N-shard compile farm (real
-// servers, real engines, real artifact replication — only the wire is
+// servers, real engines, real peer artifact tiers — only the wire is
 // loopback), runs seeded traffic through a real front tier while a
 // netchaos schedule mauls the cluster, and asserts the serving
 // invariants that no unit test can state:
@@ -11,9 +11,9 @@
 //   - no hash-invalid artifact is ever served: a request that reports
 //     ok must carry exactly the metrics the clean run recorded for
 //     its key, whatever the schedule did to envelopes in flight;
-//   - the cluster reconverges once faults clear: anti-entropy restores
-//     the replication factor and a final pass over every key is all
-//     cache hits with canonical payloads.
+//   - the cluster reconverges once faults clear: a final pass over
+//     every key is all cache hits with canonical payloads, so a shard
+//     restarted empty has refilled by reading through its peers.
 //
 // Faults are deterministic per seed (see internal/chaos/netchaos), so
 // a red run reproduces from its report alone.
@@ -54,11 +54,8 @@ func main(n) {
 
 // Config parameterizes one storm run.
 type Config struct {
-	// Shards is the farm size (default 3); Replicas is the artifact
-	// replication factor R pushed by writes, read-repair, and the
-	// sweeper (default 2, clamped to Shards-1).
-	Shards   int
-	Replicas int
+	// Shards is the farm size (default 3).
+	Shards int
 	// Plan is the fault schedule; Plan.Seed also seeds the traffic
 	// mix. A zero plan still exercises the clean path.
 	Plan netchaos.Plan
@@ -69,18 +66,19 @@ type Config struct {
 	Requests int
 	Workers  int
 	// Kill replaces the fault window with a shard kill: after the
-	// clean phase replicates artifacts, shard 0 dies abruptly and the
-	// storm phase requires zero lost responses — every request must be
-	// served ok from the survivors' replicas.
+	// clean phase, shard 0 dies abruptly and the storm phase requires
+	// zero lost responses — every request must be served ok by the
+	// survivors, from the copies the warm phase wrote back or by
+	// recompiling.
 	Kill bool
 	// Churn exercises a shard restart under traffic: one third into
 	// the burst shard 0 is killed abruptly (kill -9 semantics: its
-	// listener and sweeper vanish at once), two thirds in a
-	// replacement with an empty store starts at the victim's address.
-	// Every burst response must be ok-class with zero losses, and
-	// after anti-entropy every key must sit at exactly R copies again.
-	// Plan may carry mild faults (e.g. latency-only) to make seeds
-	// meaningful; Profile is ignored in churn mode.
+	// listener vanishes at once), two thirds in a replacement with an
+	// empty store starts at the victim's address. Every burst response
+	// must be ok-class with zero losses, and the final pass must be
+	// all cache hits again. Plan may carry mild faults (e.g.
+	// latency-only) to make seeds meaningful; Profile is ignored in
+	// churn mode.
 	Churn bool
 	// Profile, when set, shapes phase-B traffic with the same seeded
 	// arrival schedules hbload replays (see internal/load) instead of
@@ -103,12 +101,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 3
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.Replicas > c.Shards-1 {
-		c.Replicas = c.Shards - 1
 	}
 	if c.Keys <= 0 {
 		c.Keys = 6
@@ -141,13 +133,12 @@ type Violation struct {
 
 // Report is the structured outcome of one run.
 type Report struct {
-	Seed     int64  `json:"seed"`
-	Plan     string `json:"plan"`
-	Shards   int    `json:"shards"`
-	Replicas int    `json:"replicas"`
-	Kill     bool   `json:"kill,omitempty"`
-	Churn    bool   `json:"churn,omitempty"`
-	Profile  string `json:"profile,omitempty"`
+	Seed    int64  `json:"seed"`
+	Plan    string `json:"plan"`
+	Shards  int    `json:"shards"`
+	Kill    bool   `json:"kill,omitempty"`
+	Churn   bool   `json:"churn,omitempty"`
+	Profile string `json:"profile,omitempty"`
 	// KilledShard is the URL of the shard the kill (or churn) took
 	// down; under churn its replacement listens there too.
 	KilledShard string `json:"killed_shard,omitempty"`
@@ -165,9 +156,6 @@ type Report struct {
 	StormClasses map[string]int `json:"storm_classes,omitempty"`
 	// Faults aggregates injected faults across every node's injector.
 	Faults netchaos.Stats `json:"faults"`
-	// Sweeps snapshots each surviving shard's anti-entropy stats after
-	// the heal phase.
-	Sweeps []store.SweepStats `json:"sweeps,omitempty"`
 
 	Violations []Violation `json:"violations,omitempty"`
 }
@@ -190,7 +178,6 @@ type node struct {
 	url      string
 	local    *store.Mem
 	injector *netchaos.Injector
-	sweeper  *store.Sweeper
 	srv      *server.Server
 	hs       *httptest.Server
 	dead     bool
@@ -207,8 +194,8 @@ func newNode(ln net.Listener) *node {
 	}
 }
 
-// kill is the in-process kill -9: listener, in-flight connections and
-// sweeper gone at once, no drain, no goodbye.
+// kill is the in-process kill -9: listener and in-flight connections
+// gone at once, no drain, no goodbye.
 func (n *node) kill() {
 	n.dead = true
 	n.hs.CloseClientConnections()
@@ -227,13 +214,12 @@ type canonical struct {
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{
-		Seed:     cfg.Plan.Seed,
-		Plan:     cfg.Plan.Name(),
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		Kill:     cfg.Kill,
-		Churn:    cfg.Churn,
-		Profile:  string(cfg.Profile),
+		Seed:    cfg.Plan.Seed,
+		Plan:    cfg.Plan.Name(),
+		Shards:  cfg.Shards,
+		Kill:    cfg.Kill,
+		Churn:   cfg.Churn,
+		Profile: string(cfg.Profile),
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -266,7 +252,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// --- Boot the farm -------------------------------------------------
 	// Listeners first (the static peer lists and the fault names are
 	// keyed on their addresses), then the stack per shard: local store
-	// → peer tier over the other shards → engine → sweeper → server.
+	// → peer tier over the other shards → engine → server.
 	// The shards listen on ephemeral ports, so every injector hashes
 	// them by name (storm-i, the shard ID), and one seed draws one
 	// fault schedule on every run up to timing.
@@ -291,15 +277,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		n.injector = netchaos.New(cfg.Plan, shardName(idx))
 		n.injector.SetNames(names)
-		peer := store.NewPeerWith("peers", engine.KeySchema, peers,
-			&http.Client{Transport: n.injector.Transport(nil)},
-			store.PeerOpts{
-				Replicas:  cfg.Replicas,
-				OpTimeout: 750 * time.Millisecond,
-			})
+		peer := store.NewPeer("peers", engine.KeySchema, peers,
+			&http.Client{Transport: n.injector.Transport(nil)}, 750*time.Millisecond)
 		backing := store.NewTiered(n.injector.Store(n.local), peer)
 		eng := engine.New(engine.Config{Workers: 4, Cache: engine.NewStoreCache(backing)})
-		n.sweeper = store.NewSweeper(n.local, n.local, peer)
 		inj := n.injector
 		srv, err := server.New(server.Config{
 			Engine:         eng,
@@ -307,7 +288,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			QueueDepth:     64,
 			ShardID:        shardName(idx),
 			ArtifactStore:  n.local,
-			Sweeper:        n.sweeper,
 			InjectedFaults: func() any { return inj.Stats() },
 			DefaultTimeout: cfg.RequestTimeout,
 			MaxTimeout:     2 * cfg.RequestTimeout,
@@ -437,15 +417,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return true
 	}
 
-	// --- Replicate before the storm ------------------------------------
-	// One sweep round guarantees every warm key sits at full
-	// replication before faults (or the kill) start.
-	for _, n := range nodes {
-		if _, err := n.sweeper.SweepOnce(ctx); err != nil {
-			logf("pre-storm sweep: %v", err)
-		}
-	}
-
 	// --- Phase B: the storm --------------------------------------------
 	rep.StormClasses = map[string]int{}
 	killAt, restartAt := cfg.Requests/3, 2*cfg.Requests/3
@@ -517,8 +488,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			if cfg.Churn && i == restartAt {
 				// The replacement takes the victim's address and shard
 				// ID with an empty store: every static peer list and
-				// the front's ranking name it again, and the heal
-				// sweep refills it. Should another socket have taken
+				// the front's ranking name it again, and it refills
+				// by reading through its peers. Should another socket
+				// have taken
 				// the freed ephemeral port, the run ends as a harness
 				// error, not a violation.
 				ln, err := net.Listen("tcp", strings.TrimPrefix(nodes[0].url, "http://"))
@@ -568,34 +540,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	// --- Phase C: heal and reconverge ----------------------------------
-	logf("phase C: anti-entropy sweep and reconvergence check")
-	for _, n := range nodes {
-		if n.dead {
-			continue
-		}
-		if _, err := n.sweeper.SweepOnce(ctx); err != nil {
-			logf("heal sweep: %v", err)
-		}
-		rep.Sweeps = append(rep.Sweeps, n.sweeper.Stats())
-	}
-	if !cfg.Kill {
-		// With every node alive, every key must sit at exactly R
-		// confirmed copies after one full sweep round.
-		for i, n := range nodes {
-			if n.dead {
-				continue
-			}
-			st := n.sweeper.Stats()
-			for bucket, cnt := range st.Replication {
-				if bucket != fmt.Sprintf("%d", cfg.Replicas) {
-					rep.violate("replication-factor",
-						"shard %d: %d keys at %s copies, want all at %d (hist %v)",
-						i, cnt, bucket, cfg.Replicas, st.Replication)
-				}
-			}
-		}
-	}
+	// --- Phase C: reconverge -------------------------------------------
+	logf("phase C: reconvergence check")
 	deadline := time.Now().Add(2 * cfg.RequestTimeout)
 	for k := 0; k < cfg.Keys; k++ {
 		var resp server.Response
